@@ -130,46 +130,14 @@ void banner(const std::string& id, const std::string& what,
   std::printf("\n");
 }
 
-ShardedCampaignConfig sharded_config(const BenchArgs& args) {
-  ShardedCampaignConfig cfg;
-  cfg.scenario.seed = args.seed;
-  cfg.jobs = args.effective_jobs();
-  cfg.trace_categories = args.trace_categories();
-  return cfg;
-}
-
-namespace {
-
-void write_traces(const std::vector<trace::ShardTrace>& traces,
-                  const BenchArgs& args) {
+void emit_trace(const EnsembleCampaign& engine, const BenchArgs& args) {
   if (args.trace_out.empty()) return;
-  if (!trace::write_trace_file(args.trace_out, traces)) {
+  if (!trace::write_trace_file(args.trace_out, engine.traces())) {
     std::fprintf(stderr, "warning: could not write %s\n",
                  args.trace_out.c_str());
   } else if (args.verbose) {
     std::printf("wrote %s\n", args.trace_out.c_str());
   }
-}
-
-}  // namespace
-
-void emit_trace(const ShardedCampaign& engine, const BenchArgs& args) {
-  write_traces(engine.traces(), args);
-}
-
-void emit_trace(const EnsembleCampaign& engine, const BenchArgs& args) {
-  write_traces(engine.traces(), args);
-}
-
-EnsembleCampaignConfig ensemble_config(const BenchArgs& args) {
-  if (!args.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "error: this bench does not support --checkpoint\n");
-    std::exit(2);
-  }
-  EnsembleCampaignConfig cfg;
-  cfg.base = sharded_config(args);
-  cfg.repeats = args.repeats;
-  return cfg;
 }
 
 checkpoint::Fingerprint run_fingerprint(const BenchArgs& args,
@@ -215,9 +183,11 @@ std::shared_ptr<checkpoint::Store> checkpoint_store(const BenchArgs& args,
 EnsembleCampaignConfig ensemble_config(const BenchArgs& args,
                                        const std::string& figure) {
   EnsembleCampaignConfig cfg;
-  cfg.base = sharded_config(args);
-  cfg.repeats = args.repeats;
+  cfg.base.scenario.seed = args.seed;
+  cfg.base.jobs = args.effective_jobs();
+  cfg.base.trace_categories = args.trace_categories();
   cfg.base.checkpoint = checkpoint_store(args, figure);
+  cfg.repeats = args.repeats;
   return cfg;
 }
 

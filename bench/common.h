@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ptperf/campaign.h"
@@ -94,23 +96,14 @@ int scaled_int(int base, double scale, int min_value = 1);
 void banner(const std::string& id, const std::string& what,
             const BenchArgs& args);
 
-/// Sharded-engine config prefilled from the CLI args: base seed, jobs, and
-/// a scenario template the bench then tweaks (site counts, fault plans).
-ShardedCampaignConfig sharded_config(const BenchArgs& args);
-
-/// The ensemble-aware campaign entry point every figure goes through
-/// (simlint's ensemble-bypass rule bans direct ShardedCampaign
-/// construction in bench/ outside this harness): sharded_config(args) as
-/// the base world recipe plus --repeats. Figures tweak `.base` exactly as
-/// they used to tweak the sharded config.
-EnsembleCampaignConfig ensemble_config(const BenchArgs& args);
-
-/// The checkpoint-aware entry point: same config, with the snapshot store
-/// for `figure` attached when --checkpoint was given (nullptr otherwise).
-/// Building the store validates any resumed snapshot against
-/// run_fingerprint(args, figure); a mismatch prints the offending field
-/// and exits 2. The legacy overload above instead rejects --checkpoint —
-/// a bench either declares its figure id or has no checkpoint support.
+/// The campaign entry point every figure goes through (simlint's
+/// ensemble-bypass rule bans direct ShardedCampaign construction in bench/
+/// outside this harness): a base world recipe prefilled from the CLI args
+/// (seed, jobs, trace categories) plus --repeats, with the snapshot store
+/// for `figure` attached when --checkpoint was given. Figures then tweak
+/// `.base` (site counts, fault plans). Building the store validates any
+/// resumed snapshot against run_fingerprint(args, figure); a mismatch
+/// prints the offending field and exits 2.
 EnsembleCampaignConfig ensemble_config(const BenchArgs& args,
                                        const std::string& figure);
 
@@ -134,11 +127,9 @@ std::shared_ptr<checkpoint::Store> checkpoint_store(const BenchArgs& args,
 void print_shard_timings(const std::vector<ShardTiming>& timings,
                          const BenchArgs& args);
 
-/// Writes the campaign's flight-recorder capture to args.trace_out (no-op
+/// Writes repetition 0's flight-recorder capture to args.trace_out (no-op
 /// when --trace was not given). The file is a pure function of (seed,
-/// plan): byte-identical at any --jobs. The ensemble overload writes
-/// repetition 0's capture — --repeats never changes the trace.
-void emit_trace(const ShardedCampaign& engine, const BenchArgs& args);
+/// plan): byte-identical at any --jobs, and --repeats never changes it.
 void emit_trace(const EnsembleCampaign& engine, const BenchArgs& args);
 
 /// One labelled estimator measured once per repetition (e.g. a PT's mean
@@ -230,5 +221,23 @@ std::vector<PtId> figure_pt_order();
 /// figure_pt_order() preceded by vanilla Tor — the shard-plan PT list
 /// every full-sweep bench uses.
 std::vector<std::optional<PtId>> sweep_pts();
+
+/// Merged samples regrouped per PT: one (name, samples) entry per
+/// sweep_pts() stack, in sweep order, each holding that stack's samples in
+/// merge order ("tor" names vanilla Tor; a stack without samples gets an
+/// empty group).
+template <typename Sample>
+std::vector<std::pair<std::string, std::vector<Sample>>> by_pt(
+    const std::vector<Sample>& samples) {
+  std::vector<std::pair<std::string, std::vector<Sample>>> groups;
+  for (const std::optional<PtId>& pt : sweep_pts()) {
+    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+    std::vector<Sample> mine;
+    for (const Sample& s : samples)
+      if (s.pt == name) mine.push_back(s);
+    groups.emplace_back(std::move(name), std::move(mine));
+  }
+  return groups;
+}
 
 }  // namespace ptperf::bench

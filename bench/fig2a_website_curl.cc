@@ -29,13 +29,7 @@ int run(const BenchArgs& args) {
 
   stats::Table boxes(box_header());
   std::vector<std::pair<std::string, std::vector<double>>> per_site;
-  // Samples arrive merged in plan order: group back by PT, preserving the
-  // sweep order for the tables.
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<WebsiteSample> mine;
-    for (const WebsiteSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
+  for (const auto& [name, mine] : by_pt(samples)) {
     std::vector<double> means = per_site_means(mine);
     boxes.add_row(box_row(name, means));
     per_site.emplace_back(name, std::move(means));
@@ -56,12 +50,7 @@ int run(const BenchArgs& args) {
                     runs,
                     [](const std::vector<WebsiteSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
-                      for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<WebsiteSample> mine;
-                        for (const WebsiteSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
+                      for (const auto& [name, mine] : by_pt(rep)) {
                         std::vector<double> means = per_site_means(mine);
                         if (!means.empty())
                           out.emplace_back(name, stats::mean(means));

@@ -36,11 +36,7 @@ int run(const BenchArgs& args) {
 
   stats::Table boxes(box_header());
   std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<PageSample> mine;
-    for (const PageSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
+  for (const auto& [name, mine] : by_pt(samples)) {
     if (mine.empty()) {
       std::printf("%-12s excluded (no parallel-stream support)\n",
                   name.c_str());
@@ -83,12 +79,7 @@ int run(const BenchArgs& args) {
                     runs,
                     [](const std::vector<PageSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
-                      for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<PageSample> mine;
-                        for (const PageSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
+                      for (const auto& [name, mine] : by_pt(rep)) {
                         std::vector<double> loads = load_seconds(mine);
                         if (!loads.empty())
                           out.emplace_back(name, stats::mean(loads));

@@ -44,14 +44,13 @@ int run(const BenchArgs& args) {
   // pools all sizes, like the paper's Table 7).
   std::vector<std::pair<std::string, std::vector<double>>> all_attempts;
 
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+  for (const auto& [name, mine] : by_pt(samples)) {
     std::vector<std::string> row{name};
     std::vector<double> pooled;
     for (std::size_t size : sizes) {
       std::vector<double> ok;
-      for (const FileSample& s : samples) {
-        if (s.pt != name || s.size_bytes != size) continue;
+      for (const FileSample& s : mine) {
+        if (s.size_bytes != size) continue;
         if (s.result.success) {
           ok.push_back(s.result.elapsed());
           pooled.push_back(s.result.elapsed());
@@ -93,16 +92,12 @@ int run(const BenchArgs& args) {
                     runs,
                     [timeout_s](const std::vector<FileSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
-                      for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
+                      for (const auto& [name, mine] : by_pt(rep)) {
                         std::vector<double> pooled;
-                        for (const FileSample& s : rep) {
-                          if (s.pt != name) continue;
+                        for (const FileSample& s : mine)
                           pooled.push_back(s.result.success
                                                ? s.result.elapsed()
                                                : timeout_s);
-                        }
                         if (!pooled.empty())
                           out.emplace_back(name, stats::mean(pooled));
                       }

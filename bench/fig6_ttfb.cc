@@ -23,13 +23,8 @@ int run(const BenchArgs& args) {
   const auto& samples = runs.first();
 
   std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<WebsiteSample> mine;
-    for (const WebsiteSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
+  for (const auto& [name, mine] : by_pt(samples))
     groups.emplace_back(name, ttfb_seconds(mine));
-  }
 
   std::printf("-- Figure 6: P[TTFB <= t] --\n");
   emit(ecdf_table(groups, {1, 2.5, 5, 7.5, 10, 17.5, 20, 30}, "t"), args,
@@ -49,12 +44,7 @@ int run(const BenchArgs& args) {
                     runs,
                     [](const std::vector<WebsiteSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
-                      for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<WebsiteSample> mine;
-                        for (const WebsiteSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
+                      for (const auto& [name, mine] : by_pt(rep)) {
                         std::vector<double> ttfbs = ttfb_seconds(mine);
                         if (!ttfbs.empty())
                           out.emplace_back(name, stats::median(ttfbs));

@@ -54,58 +54,24 @@ int run(const BenchArgs& args) {
                      "complete_frac", "partial_frac", "failed_frac"});
   std::vector<std::pair<std::string, std::vector<double>>> fraction_groups;
 
-  // Outcomes per PT, either from the retrying reliability campaign (fault
-  // mode) or from plain downloads classified after the fact.
-  EnsembleRuns<ReliabilitySample> reliability_runs;
-  EnsembleRuns<FileSample> plain_runs;
-  if (inject) {
-    RetryPolicy retry;
-    retry.max_retries = args.retries;
-    reliability_runs = engine.run_reliability(sweep_pts(), sizes, retry);
-  } else {
-    plain_runs = engine.run_file_downloads(sweep_pts(), sizes);
-  }
-  static const std::vector<ReliabilitySample> kNoReliability;
-  static const std::vector<FileSample> kNoPlain;
-  const std::vector<ReliabilitySample>& reliability =
-      inject ? reliability_runs.first() : kNoReliability;
-  const std::vector<FileSample>& plain =
-      inject ? kNoPlain : plain_runs.first();
+  // One reliability campaign either way: --retries applies in fault mode,
+  // and with no retry to fire the samples are plain downloads, classified.
+  RetryPolicy retry;
+  retry.max_retries = inject ? args.retries : 0;
+  EnsembleRuns<ReliabilitySample> runs =
+      engine.run_reliability(sweep_pts(), sizes, retry);
 
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    int complete = 0, partial = 0, failed = 0;
-    std::size_t n_samples = 0;
+  for (const auto& [name, mine] : by_pt(runs.first())) {
+    OutcomeCounts c = count_outcomes(mine);
     std::vector<double> fractions;
-    if (inject) {
-      for (const ReliabilitySample& s : reliability) {
-        if (s.pt != name) continue;
-        switch (s.outcome) {
-          case DownloadOutcome::kComplete: ++complete; break;
-          case DownloadOutcome::kPartial: ++partial; break;
-          case DownloadOutcome::kFailed: ++failed; break;
-        }
-        fractions.push_back(s.result.fraction());
-        ++n_samples;
-      }
-    } else {
-      for (const FileSample& s : plain) {
-        if (s.pt != name) continue;
-        switch (classify(s.result)) {
-          case DownloadOutcome::kComplete: ++complete; break;
-          case DownloadOutcome::kPartial: ++partial; break;
-          case DownloadOutcome::kFailed: ++failed; break;
-        }
-        fractions.push_back(s.result.fraction());
-        ++n_samples;
-      }
-    }
-    auto n = static_cast<double>(n_samples);
-    bars.add_row({name, std::to_string(n_samples), std::to_string(complete),
-                  std::to_string(partial), std::to_string(failed),
-                  util::fmt_double(complete / n, 2),
-                  util::fmt_double(partial / n, 2),
-                  util::fmt_double(failed / n, 2)});
+    for (const ReliabilitySample& s : mine)
+      fractions.push_back(s.result.fraction());
+    auto n = static_cast<double>(c.total());
+    bars.add_row({name, std::to_string(c.total()), std::to_string(c.complete),
+                  std::to_string(c.partial), std::to_string(c.failed),
+                  util::fmt_double(c.complete / n, 2),
+                  util::fmt_double(c.partial / n, 2),
+                  util::fmt_double(c.failed / n, 2)});
     fraction_groups.emplace_back(name, std::move(fractions));
   }
 
@@ -126,50 +92,20 @@ int run(const BenchArgs& args) {
       " dnstt reach higher fractions but rarely complete)\n");
 
   // Cross-repetition distribution of each PT's complete fraction.
-  if (inject) {
-    emit_ensemble(
-        ensemble_series<ReliabilitySample>(
-            reliability_runs,
-            [](const std::vector<ReliabilitySample>& rep) {
-              std::vector<std::pair<std::string, double>> out;
-              for (const auto& pt : sweep_pts()) {
-                std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-                int complete = 0, total = 0;
-                for (const ReliabilitySample& s : rep) {
-                  if (s.pt != name) continue;
-                  if (s.outcome == DownloadOutcome::kComplete) ++complete;
-                  ++total;
-                }
-                if (total > 0)
-                  out.emplace_back(name, static_cast<double>(complete) / total);
-              }
-              return out;
-            }),
-        args, "fig8_ensemble", "complete_frac", EnsembleUnit::kFraction,
-        "tor");
-  } else {
-    emit_ensemble(
-        ensemble_series<FileSample>(
-            plain_runs,
-            [](const std::vector<FileSample>& rep) {
-              std::vector<std::pair<std::string, double>> out;
-              for (const auto& pt : sweep_pts()) {
-                std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-                int complete = 0, total = 0;
-                for (const FileSample& s : rep) {
-                  if (s.pt != name) continue;
-                  if (classify(s.result) == DownloadOutcome::kComplete)
-                    ++complete;
-                  ++total;
-                }
-                if (total > 0)
-                  out.emplace_back(name, static_cast<double>(complete) / total);
-              }
-              return out;
-            }),
-        args, "fig8_ensemble", "complete_frac", EnsembleUnit::kFraction,
-        "tor");
-  }
+  emit_ensemble(
+      ensemble_series<ReliabilitySample>(
+          runs,
+          [](const std::vector<ReliabilitySample>& rep) {
+            std::vector<std::pair<std::string, double>> out;
+            for (const auto& [name, mine] : by_pt(rep)) {
+              OutcomeCounts c = count_outcomes(mine);
+              if (c.total() > 0)
+                out.emplace_back(name,
+                                 static_cast<double>(c.complete) / c.total());
+            }
+            return out;
+          }),
+      args, "fig8_ensemble", "complete_frac", EnsembleUnit::kFraction, "tor");
 
   if (inject) {
     std::printf("\n-- Injected faults (deterministic for this seed) --\n");

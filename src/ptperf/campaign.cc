@@ -1,6 +1,8 @@
 #include "ptperf/campaign.h"
 
+#include <functional>
 #include <map>
+#include <optional>
 
 namespace ptperf {
 
@@ -18,6 +20,77 @@ std::string_view outcome_name(DownloadOutcome o) {
   }
   return "unknown";
 }
+
+namespace {
+
+/// How one attempt ended: with the sample to record, after which the next
+/// attempt starts a think gap later, or without one, after which the same
+/// (item, rep) is attempted again `retry_after` later.
+template <typename Sample>
+struct AttemptEnd {
+  std::optional<Sample> sample;
+  sim::Duration retry_after{};
+};
+
+template <typename Sample>
+using AttemptDone = std::function<void(AttemptEnd<Sample>)>;
+
+/// Starts attempt number `attempt` (counted from 1) at (item, rep) and
+/// calls `done` once it has ended.
+template <typename Sample>
+using Attempt = std::function<void(std::size_t item, int rep, int attempt,
+                                   AttemptDone<Sample> done)>;
+
+/// The measurement loop behind every Campaign::run_*: `items` x `reps`
+/// samples, one attempt at a time in the world's virtual time, with
+/// `think_gap` after each recorded sample so transport state settles.
+template <typename Sample>
+std::vector<Sample> run_attempts(sim::EventLoop& loop, sim::Duration think_gap,
+                                 std::size_t items, int reps,
+                                 const Attempt<Sample>& attempt) {
+  std::vector<Sample> samples;
+  std::size_t item = 0;
+  int rep = 0;
+  int tries = 0;
+  bool running = false;
+  bool finished = false;
+
+  std::function<void()> start_next = [&]() {
+    if (item >= items) {
+      finished = true;
+      return;
+    }
+    running = true;
+    attempt(item, rep, ++tries, [&](AttemptEnd<Sample> end) {
+      running = false;
+      if (!end.sample) {
+        loop.schedule(end.retry_after, [&] { start_next(); });
+        return;
+      }
+      samples.push_back(std::move(*end.sample));
+      tries = 0;
+      if (++rep >= reps) {
+        rep = 0;
+        ++item;
+      }
+      loop.schedule(think_gap, [&] { start_next(); });
+    });
+  };
+
+  start_next();
+  loop.run_until_done([&] { return finished && !running; });
+  return samples;
+}
+
+/// Circuit hygiene before an access: a re-sampled guard when the options
+/// ask for one, and a fresh circuit when `new_identity` is set.
+void fresh_circuit(const CampaignOptions& opts, PtStack& stack,
+                   bool new_identity) {
+  if (opts.rotate_guard_per_site && stack.rotate_guard) stack.rotate_guard();
+  if (new_identity) stack.new_identity();
+}
+
+}  // namespace
 
 Campaign::Campaign(Scenario& scenario, CampaignOptions opts)
     : scenario_(&scenario), opts_(opts) {}
@@ -39,196 +112,90 @@ std::vector<const workload::Website*> Campaign::merge(
 
 std::vector<WebsiteSample> Campaign::run_website_curl(
     PtStack& stack, const std::vector<const workload::Website*>& sites) {
-  std::vector<WebsiteSample> samples;
-  samples.reserve(sites.size() * static_cast<std::size_t>(opts_.website_reps));
-
-  std::size_t site_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sites.empty();
-  sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (site_idx >= sites.size()) {
-      finished = true;
-      return;
-    }
-    if (rep == 0) {
-      if (opts_.rotate_guard_per_site && stack.rotate_guard)
-        stack.rotate_guard();
-      if (opts_.new_circuit_per_site) stack.new_identity();
-    }
-    running = true;
-    const workload::Website* site = sites[site_idx];
-    stack.fetcher->fetch(
-        site->hostname, "/", opts_.website_timeout,
-        [&, site](workload::FetchResult r) {
-          WebsiteSample s;
-          s.pt = stack.name();
-          s.site = site->hostname;
-          s.rep = rep;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          if (++rep >= opts_.website_reps) {
-            rep = 0;
-            ++site_idx;
-          }
-          running = false;
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
-        });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
-  return samples;
+  return run_attempts<WebsiteSample>(
+      scenario_->loop(), opts_.think_gap, sites.size(), opts_.website_reps,
+      [&](std::size_t item, int rep, int, AttemptDone<WebsiteSample> done) {
+        if (rep == 0) fresh_circuit(opts_, stack, opts_.new_circuit_per_site);
+        const workload::Website* site = sites[item];
+        stack.fetcher->fetch(
+            site->hostname, "/", opts_.website_timeout,
+            [&, site, rep, done](workload::FetchResult r) {
+              WebsiteSample s;
+              s.pt = stack.name();
+              s.site = site->hostname;
+              s.rep = rep;
+              s.result = std::move(r);
+              done({std::move(s)});
+            });
+      });
 }
 
 std::vector<PageSample> Campaign::run_website_selenium(
     PtStack& stack, const std::vector<const workload::Website*>& sites) {
-  std::vector<PageSample> samples;
-  if (!stack.supports_selenium()) return samples;
-
-  std::size_t site_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sites.empty();
-  sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (site_idx >= sites.size()) {
-      finished = true;
-      return;
-    }
-    if (rep == 0) {
-      if (opts_.rotate_guard_per_site && stack.rotate_guard)
-        stack.rotate_guard();
-      if (opts_.new_circuit_per_site) stack.new_identity();
-    }
-    running = true;
-    const workload::Website* site = sites[site_idx];
-    stack.fetcher->fetch_page(*site, [&, site](workload::PageLoadResult r) {
-      PageSample s;
-      s.pt = stack.name();
-      s.site = site->hostname;
-      s.rep = rep;
-      s.speed_index_s = workload::speed_index(*site, r);
-      s.result = std::move(r);
-      samples.push_back(std::move(s));
-      if (++rep >= opts_.website_reps) {
-        rep = 0;
-        ++site_idx;
-      }
-      running = false;
-      loop.schedule(opts_.think_gap, [&] { start_next(); });
-    });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
-  return samples;
+  if (!stack.supports_selenium()) return {};
+  return run_attempts<PageSample>(
+      scenario_->loop(), opts_.think_gap, sites.size(), opts_.website_reps,
+      [&](std::size_t item, int rep, int, AttemptDone<PageSample> done) {
+        if (rep == 0) fresh_circuit(opts_, stack, opts_.new_circuit_per_site);
+        const workload::Website* site = sites[item];
+        stack.fetcher->fetch_page(
+            *site, [&, site, rep, done](workload::PageLoadResult r) {
+              PageSample s;
+              s.pt = stack.name();
+              s.site = site->hostname;
+              s.rep = rep;
+              s.speed_index_s = workload::speed_index(*site, r);
+              s.result = std::move(r);
+              done({std::move(s)});
+            });
+      });
 }
 
 std::vector<FileSample> Campaign::run_file_downloads(
     PtStack& stack, const std::vector<std::size_t>& sizes) {
+  // With no retry to fire, a reliability run schedules exactly the events
+  // of a plain download run: the download is its unclassified view.
   std::vector<FileSample> samples;
-  std::size_t size_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sizes.empty();
-  sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (size_idx >= sizes.size()) {
-      finished = true;
-      return;
-    }
-    // Every attempt gets a fresh circuit: bulk transfers regularly outlive
-    // tunnels, and the paper retried from scratch.
-    if (opts_.rotate_guard_per_site && stack.rotate_guard)
-      stack.rotate_guard();
-    stack.new_identity();
-    running = true;
-    std::size_t size = sizes[size_idx];
-    std::string target = "/" + workload::file_target_name(size);
-    stack.fetcher->fetch(
-        "files.example", target, opts_.file_timeout,
-        [&, size](workload::FetchResult r) {
-          FileSample s;
-          s.pt = stack.name();
-          s.size_bytes = size;
-          s.rep = rep;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          if (++rep >= opts_.file_reps) {
-            rep = 0;
-            ++size_idx;
-          }
-          running = false;
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
-        });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
+  for (ReliabilitySample& s : run_reliability(stack, sizes, RetryPolicy{}))
+    samples.push_back(
+        {std::move(s.pt), s.size_bytes, s.rep, std::move(s.result)});
   return samples;
 }
 
 std::vector<ReliabilitySample> Campaign::run_reliability(
     PtStack& stack, const std::vector<std::size_t>& sizes, RetryPolicy retry) {
-  std::vector<ReliabilitySample> samples;
-  std::size_t size_idx = 0;
-  int rep = 0;
-  int attempt = 0;
-  bool running = false;
-  bool finished = sizes.empty();
-  sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (size_idx >= sizes.size()) {
-      finished = true;
-      return;
-    }
-    // Every attempt — first try or retry — runs over a fresh circuit,
-    // matching the paper's from-scratch retries.
-    if (opts_.rotate_guard_per_site && stack.rotate_guard)
-      stack.rotate_guard();
-    stack.new_identity();
-    running = true;
-    std::size_t size = sizes[size_idx];
-    std::string target = "/" + workload::file_target_name(size);
-    stack.fetcher->fetch(
-        "files.example", target, opts_.file_timeout,
-        [&, size](workload::FetchResult r) {
-          ++attempt;
-          DownloadOutcome outcome = classify(r);
-          bool retryable = outcome == DownloadOutcome::kFailed ||
-                           (retry.retry_on_partial &&
-                            outcome == DownloadOutcome::kPartial);
-          running = false;
-          if (retryable && attempt <= retry.max_retries) {
-            loop.schedule(retry.backoff, [&] { start_next(); });
-            return;
-          }
-          ReliabilitySample s;
-          s.pt = stack.name();
-          s.size_bytes = size;
-          s.rep = rep;
-          s.attempts = attempt;
-          s.outcome = outcome;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          attempt = 0;
-          if (++rep >= opts_.file_reps) {
-            rep = 0;
-            ++size_idx;
-          }
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
-        });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
-  return samples;
+  return run_attempts<ReliabilitySample>(
+      scenario_->loop(), opts_.think_gap, sizes.size(), opts_.file_reps,
+      [&](std::size_t item, int rep, int attempt,
+          AttemptDone<ReliabilitySample> done) {
+        // Every attempt — first try or retry — runs over a fresh circuit:
+        // bulk transfers regularly outlive tunnels, and the paper retried
+        // from scratch.
+        fresh_circuit(opts_, stack, true);
+        std::size_t size = sizes[item];
+        std::string target = "/";
+        target += workload::file_target_name(size);
+        stack.fetcher->fetch(
+            "files.example", target, opts_.file_timeout,
+            [&, size, rep, attempt, done](workload::FetchResult r) {
+              DownloadOutcome outcome = classify(r);
+              bool retryable = outcome == DownloadOutcome::kFailed ||
+                               (retry.retry_on_partial &&
+                                outcome == DownloadOutcome::kPartial);
+              if (retryable && attempt <= retry.max_retries) {
+                done({std::nullopt, retry.backoff});
+                return;
+              }
+              ReliabilitySample s;
+              s.pt = stack.name();
+              s.size_bytes = size;
+              s.rep = rep;
+              s.attempts = attempt;
+              s.outcome = outcome;
+              s.result = std::move(r);
+              done({std::move(s)});
+            });
+      });
 }
 
 OutcomeCounts count_outcomes(const std::vector<ReliabilitySample>& xs) {

@@ -11,6 +11,7 @@
 // this class ever seeing a second thread.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "ptperf/transports.h"
@@ -76,6 +77,30 @@ struct OutcomeCounts {
 };
 OutcomeCounts count_outcomes(const std::vector<ReliabilitySample>& xs);
 
+/// One paired fixed-circuit measurement (fig9 / §5.2, measured by
+/// EnsembleCampaign::run_overhead): the same site fetched over vanilla Tor
+/// and over the PT on the same circuit in the same world, plus the PT's
+/// per-layer wire-byte deltas for its share of the work (transport
+/// connect, circuit build, fetch). The byte columns inherit the
+/// StackAccounting invariant — wire_bytes == payload_bytes +
+/// handshake_bytes + framing_bytes + carrier_bytes, exactly, per sample —
+/// so any aggregation of them sums exactly too.
+struct OverheadSample {
+  std::string pt;
+  std::string site;
+  double tor_s = -1;  // vanilla fetch seconds; < 0 = failed
+  double pt_s = -1;   // PT fetch seconds; < 0 = failed
+  std::int64_t payload_bytes = 0;
+  std::int64_t handshake_bytes = 0;
+  std::int64_t framing_bytes = 0;
+  std::int64_t carrier_bytes = 0;
+  std::int64_t wire_bytes = 0;
+  std::int64_t handshake_rtts = 0;
+
+  bool ok() const { return tor_s >= 0 && pt_s >= 0; }
+  double diff() const { return pt_s - tor_s; }
+};
+
 struct CampaignOptions {
   int website_reps = 5;   // paper: each website five times
   int file_reps = 10;     // paper: each file ten times
@@ -104,14 +129,15 @@ class Campaign {
   std::vector<PageSample> run_website_selenium(
       PtStack& stack, const std::vector<const workload::Website*>& sites);
 
-  /// Bulk downloads of the given sizes x reps from files.example.
+  /// Bulk downloads of the given sizes x reps from files.example: the
+  /// samples of run_reliability with no retries, unclassified.
   std::vector<FileSample> run_file_downloads(
       PtStack& stack, const std::vector<std::size_t>& sizes);
 
-  /// Like run_file_downloads, but classifies every attempt into the
-  /// §4.6 taxonomy and applies a retry policy: a failed (and optionally
-  /// partial) attempt is redone over a fresh circuit after the backoff,
-  /// up to max_retries times; the final attempt is the sample.
+  /// Bulk downloads of the given sizes x reps, each attempt over a fresh
+  /// circuit and classified into the §4.6 taxonomy under a retry policy:
+  /// a failed (and optionally partial) attempt is redone after the
+  /// backoff, up to max_retries times; the final attempt is the sample.
   std::vector<ReliabilitySample> run_reliability(
       PtStack& stack, const std::vector<std::size_t>& sizes,
       RetryPolicy retry = {});

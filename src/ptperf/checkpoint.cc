@@ -8,7 +8,10 @@ namespace ptperf::checkpoint {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x5054434B;  // "PTCK"
-constexpr std::uint32_t kVersion = 1;
+// Version 2: fig8 without --faults records ReliabilitySample units (it
+// ran plain file downloads before), so a version-1 snapshot must be
+// refused rather than decoded as the wrong sample type.
+constexpr std::uint32_t kVersion = 2;
 
 /// The one sanctioned raw-file write path in src/ptperf (simlint's
 /// checkpoint-io rule bans fopen/ofstream everywhere else in the

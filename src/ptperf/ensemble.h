@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "ptperf/parallel.h"
@@ -48,6 +49,15 @@ Estimate summarize(const std::vector<double>& per_rep);
 /// ones and each repetition's shard seeds fork off its own stream.
 std::uint64_t repeat_seed(std::uint64_t base_seed, int repeat);
 
+/// Which sites a website campaign measures: the first `tranco` Tranco
+/// sites merged with the first `cbl` CBL sites, resolved inside each
+/// shard's own scenario (identical across shards via corpus_seed).
+struct SiteSelection {
+  std::size_t tranco = 0;
+  std::size_t cbl = 0;
+  std::size_t count() const { return tranco + cbl; }
+};
+
 /// Per-repetition sample vectors: reps[r] holds repetition r's samples,
 /// merged in plan order (byte-identical at any --jobs, per repetition).
 template <typename Sample>
@@ -72,11 +82,13 @@ struct EnsembleCampaignConfig {
   int repeats = 1;
 };
 
-/// Front end over ShardedCampaign that runs every campaign type N times in
-/// independently seeded worlds and accumulates per-repetition results.
-/// Timings and injected-fault counters aggregate over all repetitions in
-/// repetition order; flight-recorder traces capture repetition 0 only (the
-/// base campaign), so --trace output is unchanged by --repeats.
+/// Front end over ShardedCampaign for the paper's campaign types: each
+/// named method knows its kind's work items and per-shard body, and runs
+/// it N times in independently seeded worlds, accumulating per-repetition
+/// results. Timings and injected-fault counters aggregate over all
+/// repetitions in repetition order; flight-recorder traces capture
+/// repetition 0 only (the base campaign), so --trace output is unchanged
+/// by --repeats.
 class EnsembleCampaign {
  public:
   explicit EnsembleCampaign(EnsembleCampaignConfig cfg);
@@ -91,6 +103,11 @@ class EnsembleCampaign {
   EnsembleRuns<ReliabilitySample> run_reliability(
       const std::vector<std::optional<PtId>>& pts,
       const std::vector<std::size_t>& sizes, RetryPolicy retry = {});
+  /// Fig-9 paired campaign: every shard's world stands up vanilla Tor AND
+  /// the shard's PT, pins both to the same fixed circuit per site, and
+  /// measures back-to-back fetches plus the PT's per-layer byte ledger
+  /// (`pts` lists PTs only — the vanilla baseline is built inside each
+  /// shard, not as its own shard).
   EnsembleRuns<OverheadSample> run_overhead(const std::vector<PtId>& pts,
                                             const SiteSelection& sites);
 
@@ -118,8 +135,13 @@ class EnsembleCampaign {
   std::uint64_t total_injected_faults() const;
 
  private:
-  template <typename Sample, typename Run>
-  EnsembleRuns<Sample> run_reps(const Run& run);
+  template <typename Result, typename Run>
+  std::vector<Result> run_reps(const Run& run);
+
+  template <typename Sample>
+  EnsembleRuns<Sample> run_sharded(
+      const std::vector<std::optional<PtId>>& pts, std::size_t item_count,
+      const ShardedCampaign::ShardBody<Sample>& body);
 
   EnsembleCampaignConfig cfg_;
   std::vector<ShardTiming> timings_;

@@ -104,8 +104,8 @@ std::uint64_t ShardedCampaign::total_injected_faults() const {
   return total;
 }
 
-/// Runs `body(spec, scenario, campaign, stack)` for every shard of `plan`
-/// across the pool, then merges per-shard samples, timings and fault
+/// Runs `body(spec, scenario, campaign, stack)` for every shard of the
+/// plan across the pool, then merges per-shard samples, timings and fault
 /// counters strictly in plan order. Every mutable slot is indexed by the
 /// shard's plan position and touched by exactly one task; the pool join is
 /// the only synchronization the merge needs.
@@ -114,9 +114,12 @@ std::uint64_t ShardedCampaign::total_injected_faults() const {
 /// decoded straight into their merge slots and never re-run; freshly
 /// completed shards are recorded back. Because both paths fill the same
 /// plan-position slots, a resumed run merges to byte-identical output.
-template <typename Sample, typename Body>
-std::vector<Sample> ShardedCampaign::run_plan(const ShardPlan& plan,
-                                              const Body& body) {
+template <typename Sample>
+std::vector<Sample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>& pts, std::size_t item_count,
+    const ShardBody<Sample>& body) {
+  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, pts, item_count,
+                                    cfg_.items_per_shard);
   const std::vector<ShardSpec>& shards = plan.shards();
   constexpr auto kFaultKinds =
       static_cast<std::size_t>(fault::FaultKind::kCount_);
@@ -216,145 +219,22 @@ std::vector<Sample> ShardedCampaign::run_plan(const ShardPlan& plan,
   return merged;
 }
 
-namespace {
-
-/// The shard's view of the campaign's site list: selection resolved in the
-/// shard's own world (identical across shards — corpus_seed is pinned),
-/// then sliced to the shard's chunk.
-std::vector<const workload::Website*> shard_sites(const ShardSpec& spec,
-                                                  Scenario& scenario,
-                                                  const SiteSelection& sel) {
-  auto sites =
-      Campaign::merge(Campaign::take_sites(scenario.tranco(), sel.tranco),
-                      Campaign::take_sites(scenario.cbl(), sel.cbl));
-  std::size_t end = std::min(spec.item_end, sites.size());
-  std::size_t begin = std::min(spec.item_begin, end);
-  return {sites.begin() + static_cast<std::ptrdiff_t>(begin),
-          sites.begin() + static_cast<std::ptrdiff_t>(end)};
-}
-
-std::vector<std::size_t> shard_sizes(const ShardSpec& spec,
-                                     const std::vector<std::size_t>& sizes) {
-  std::size_t end = std::min(spec.item_end, sizes.size());
-  std::size_t begin = std::min(spec.item_begin, end);
-  return {sizes.begin() + static_cast<std::ptrdiff_t>(begin),
-          sizes.begin() + static_cast<std::ptrdiff_t>(end)};
-}
-
-}  // namespace
-
-std::vector<WebsiteSample> ShardedCampaign::run_website_curl(
-    const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites) {
-  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, pts, sites.count(),
-                                    cfg_.items_per_shard);
-  return run_plan<WebsiteSample>(
-      plan, [&sites](const ShardSpec& spec, Scenario& scenario,
-                     Campaign& campaign, PtStack& stack) {
-        return campaign.run_website_curl(stack,
-                                         shard_sites(spec, scenario, sites));
-      });
-}
-
-std::vector<PageSample> ShardedCampaign::run_website_selenium(
-    const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites) {
-  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, pts, sites.count(),
-                                    cfg_.items_per_shard);
-  return run_plan<PageSample>(
-      plan, [&sites](const ShardSpec& spec, Scenario& scenario,
-                     Campaign& campaign, PtStack& stack) {
-        return campaign.run_website_selenium(
-            stack, shard_sites(spec, scenario, sites));
-      });
-}
-
-std::vector<FileSample> ShardedCampaign::run_file_downloads(
-    const std::vector<std::optional<PtId>>& pts,
-    const std::vector<std::size_t>& sizes) {
-  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, pts, sizes.size(),
-                                    cfg_.items_per_shard);
-  return run_plan<FileSample>(
-      plan, [&sizes](const ShardSpec& spec, Scenario&, Campaign& campaign,
-                     PtStack& stack) {
-        return campaign.run_file_downloads(stack, shard_sizes(spec, sizes));
-      });
-}
-
-std::vector<OverheadSample> ShardedCampaign::run_overhead(
-    const std::vector<PtId>& pts, const SiteSelection& sites) {
-  std::vector<std::optional<PtId>> plan_pts;
-  plan_pts.reserve(pts.size());
-  for (PtId id : pts) plan_pts.emplace_back(id);
-  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, plan_pts,
-                                    sites.count(), cfg_.items_per_shard);
-  return run_plan<OverheadSample>(
-      plan, [this, &sites](const ShardSpec& spec, Scenario& scenario,
-                           Campaign&, PtStack& stack) {
-        std::vector<OverheadSample> out;
-        // The vanilla baseline lives in the shard's own world so both
-        // stacks see identical relays, sites, and load.
-        TransportFactory vanilla_factory(scenario, cfg_.factory);
-        PtStack tor = vanilla_factory.create_vanilla();
-        sim::EventLoop& loop = scenario.loop();
-        tor::PathSelector sampler(scenario.consensus(),
-                                  scenario.fork_rng("fig9-sampler"));
-
-        auto fetch_once = [&loop](PtStack& s, const std::string& host) {
-          double t = -1;
-          bool done = false;
-          s.fetcher->fetch(host, "/", sim::from_seconds(120),
-                           [&](workload::FetchResult r) {
-                             if (r.success) t = r.elapsed();
-                             done = true;
-                           });
-          loop.run_until_done([&] { return done; });
-          return t;
-        };
-
-        const pt::layer::LayerStack* layers = stack.transport->layer_stack();
-        const pt::layer::StackAccounting* acct =
-            layers ? layers->accounting().get() : nullptr;
-
-        for (const workload::Website* site :
-             shard_sites(spec, scenario, sites)) {
-          // Same circuit for Tor and the PT at this site: identical first
-          // hop (the PT's bridge when it has one, else a sampled guard)
-          // and the same middle/exit pair.
-          tor::Path p = sampler.select({});
-          tor::PathConstraints constraints;
-          constraints.entry = stack.transport->fixed_entry()
-                                  ? stack.transport->fixed_entry()
-                                  : std::optional<tor::RelayIndex>(p.entry);
-          constraints.middle = p.middle;
-          constraints.exit = p.exit;
-          tor.pool->set_constraints(constraints);
-          if (stack.pool) stack.pool->set_constraints(constraints);
-
-          // Snapshot before the PT warms so the delta covers the site's
-          // full PT share: transport connect, circuit build, and fetch.
-          pt::layer::StackAccounting before;
-          if (acct) before = *acct;
-
-          tor.pool->warm(loop);
-          if (stack.pool) stack.pool->warm(loop);
-
-          OverheadSample s;
-          s.pt = stack.name();
-          s.site = site->hostname;
-          s.tor_s = fetch_once(tor, site->hostname);
-          s.pt_s = fetch_once(stack, site->hostname);
-          if (acct) {
-            s.payload_bytes = acct->payload_bytes - before.payload_bytes;
-            s.handshake_bytes = acct->handshake_bytes - before.handshake_bytes;
-            s.framing_bytes = acct->framing_bytes - before.framing_bytes;
-            s.carrier_bytes = acct->carrier_bytes - before.carrier_bytes;
-            s.wire_bytes = acct->wire_bytes - before.wire_bytes;
-            s.handshake_rtts = acct->handshake_rtts - before.handshake_rtts;
-          }
-          out.push_back(std::move(s));
-        }
-        return out;
-      });
-}
+// The sample types a shard unit can be checkpointed as (checkpoint.h).
+template std::vector<WebsiteSample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>&, std::size_t,
+    const ShardBody<WebsiteSample>&);
+template std::vector<PageSample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>&, std::size_t,
+    const ShardBody<PageSample>&);
+template std::vector<FileSample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>&, std::size_t,
+    const ShardBody<FileSample>&);
+template std::vector<ReliabilitySample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>&, std::size_t,
+    const ShardBody<ReliabilitySample>&);
+template std::vector<OverheadSample> ShardedCampaign::run(
+    const std::vector<std::optional<PtId>>&, std::size_t,
+    const ShardBody<OverheadSample>&);
 
 population::Trajectory ShardedCampaign::run_population(
     population::PopulationConfig pcfg) {
@@ -383,19 +263,6 @@ population::Trajectory ShardedCampaign::run_population(
 
   for (ShardTiming& t : timings) timings_.push_back(std::move(t));
   return population::PopulationModel::merge(model.config(), per_cohort);
-}
-
-std::vector<ReliabilitySample> ShardedCampaign::run_reliability(
-    const std::vector<std::optional<PtId>>& pts,
-    const std::vector<std::size_t>& sizes, RetryPolicy retry) {
-  ShardPlan plan = ShardPlan::build(cfg_.scenario.seed, pts, sizes.size(),
-                                    cfg_.items_per_shard);
-  return run_plan<ReliabilitySample>(
-      plan, [&sizes, retry](const ShardSpec& spec, Scenario&,
-                            Campaign& campaign, PtStack& stack) {
-        return campaign.run_reliability(stack, shard_sizes(spec, sizes),
-                                        retry);
-      });
 }
 
 }  // namespace ptperf

@@ -103,10 +103,8 @@ class ParallelExecutor {
   int jobs_ = 1;
 };
 
-/// Shard-engine front end for the paper's campaign types. Owns the
-/// replicable world recipe (base ScenarioConfig + per-shard configure
-/// hooks) and runs plans over it, merging samples in plan order and
-/// accumulating per-shard timings and injected-fault counters.
+/// The replicable world recipe of a sharded campaign: base ScenarioConfig
+/// plus per-shard configure hooks.
 struct ShardedCampaignConfig {
   /// Base world recipe. `scenario.seed` is the campaign's base seed; each
   /// shard overrides `seed` with its fork and pins `corpus_seed` to the
@@ -137,59 +135,31 @@ struct ShardedCampaignConfig {
   std::shared_ptr<checkpoint::Store> checkpoint;
 };
 
-/// Which sites a website campaign measures: the first `tranco` Tranco
-/// sites merged with the first `cbl` CBL sites, resolved inside each
-/// shard's own scenario (identical across shards via corpus_seed).
-struct SiteSelection {
-  std::size_t tranco = 0;
-  std::size_t cbl = 0;
-  std::size_t count() const { return tranco + cbl; }
-};
-
-/// One paired fixed-circuit measurement (fig9 / §5.2): the same site
-/// fetched over vanilla Tor and over the PT on the same circuit in the
-/// same world, plus the PT's per-layer wire-byte deltas for its share of
-/// the work (transport connect, circuit build, fetch). The byte columns
-/// inherit the StackAccounting invariant — wire_bytes == payload_bytes +
-/// handshake_bytes + framing_bytes + carrier_bytes, exactly, per sample —
-/// so any aggregation of them sums exactly too.
-struct OverheadSample {
-  std::string pt;
-  std::string site;
-  double tor_s = -1;  // vanilla fetch seconds; < 0 = failed
-  double pt_s = -1;   // PT fetch seconds; < 0 = failed
-  std::int64_t payload_bytes = 0;
-  std::int64_t handshake_bytes = 0;
-  std::int64_t framing_bytes = 0;
-  std::int64_t carrier_bytes = 0;
-  std::int64_t wire_bytes = 0;
-  std::int64_t handshake_rtts = 0;
-
-  bool ok() const { return tor_s >= 0 && pt_s >= 0; }
-  double diff() const { return pt_s - tor_s; }
-};
-
+/// The sharded engine. It knows nothing about measurement kinds: run()
+/// takes a work-item count and the body that measures one shard's slice
+/// (the paper's kinds live in ensemble.cc), and the engine owns the world
+/// recipe, the pool, the checkpoint store, and the plan-order merge of
+/// samples, per-shard timings, traces and injected-fault counters.
 class ShardedCampaign {
  public:
   explicit ShardedCampaign(ShardedCampaignConfig cfg);
 
-  std::vector<WebsiteSample> run_website_curl(
-      const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites);
-  std::vector<PageSample> run_website_selenium(
-      const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites);
-  std::vector<FileSample> run_file_downloads(
-      const std::vector<std::optional<PtId>>& pts,
-      const std::vector<std::size_t>& sizes);
-  std::vector<ReliabilitySample> run_reliability(
-      const std::vector<std::optional<PtId>>& pts,
-      const std::vector<std::size_t>& sizes, RetryPolicy retry = {});
-  /// Fig-9 paired campaign: every shard's world stands up vanilla Tor AND
-  /// the shard's PT, pins both to the same fixed circuit per site, and
-  /// measures back-to-back fetches plus the PT's per-layer byte ledger
-  /// (`pts` lists PTs only — the vanilla baseline is built inside each
-  /// shard, not as its own shard).
-  std::vector<OverheadSample> run_overhead(const std::vector<PtId>& pts,
-                                           const SiteSelection& sites);
+  /// What one shard measures: its slice [spec.item_begin, spec.item_end)
+  /// of the campaign's work items, in the shard's private world (its own
+  /// Scenario, the PtStack for spec.pt, and a Campaign over both).
+  template <typename Sample>
+  using ShardBody = std::function<std::vector<Sample>(
+      const ShardSpec& spec, Scenario& scenario, Campaign& campaign,
+      PtStack& stack)>;
+
+  /// Plans one shard per PT x chunk of `item_count` work items, runs
+  /// `body` in every shard across the pool, and merges the samples,
+  /// timings, traces and fault counters in plan order. Sample is any type
+  /// with a shard-unit codec in checkpoint.h.
+  template <typename Sample>
+  std::vector<Sample> run(const std::vector<std::optional<PtId>>& pts,
+                          std::size_t item_count,
+                          const ShardBody<Sample>& body);
 
   /// Population-driven mode: shards BY USER COHORT instead of by PT — each
   /// cohort's arrival/departure series is a pure function of
@@ -225,9 +195,6 @@ class ShardedCampaign {
       const std::vector<PtId>& pts);
 
  private:
-  template <typename Sample, typename Body>
-  std::vector<Sample> run_plan(const ShardPlan& plan, const Body& body);
-
   ShardedCampaignConfig cfg_;
   std::vector<ShardTiming> timings_;
   std::vector<trace::ShardTrace> traces_;

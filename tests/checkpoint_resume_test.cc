@@ -236,7 +236,7 @@ TEST(CrashEquivalenceCross, FaultCountersSurviveResume) {
     cfg.base.checkpoint = std::move(store);
     return cfg;
   };
-  ShardedCampaign baseline(make_engine(nullptr).base);
+  EnsembleCampaign baseline(make_engine(nullptr));
   baseline.run_reliability(small_pts(), kSizes, fig8_retry());
   ASSERT_GT(baseline.total_injected_faults(), 0u)
       << "fault plan injected nothing; the test is vacuous";
@@ -244,11 +244,11 @@ TEST(CrashEquivalenceCross, FaultCountersSurviveResume) {
   TempDir dir;
   auto killed = make_store(dir.path(), "fig8like", 2, 1, false);
   killed->simulate_crash_after(2);
-  ShardedCampaign first(make_engine(killed).base);
+  EnsembleCampaign first(make_engine(killed));
   first.run_reliability(small_pts(), kSizes, fig8_retry());
 
   auto resumed = make_store(dir.path(), "fig8like", 2, 1, true);
-  ShardedCampaign second(make_engine(resumed).base);
+  EnsembleCampaign second(make_engine(resumed));
   second.run_reliability(small_pts(), kSizes, fig8_retry());
   for (int k = 0; k < static_cast<int>(fault::FaultKind::kCount_); ++k) {
     auto kind = static_cast<fault::FaultKind>(k);

@@ -5,9 +5,11 @@
 // prefix, bit flips, invariant violations) is rejected with a typed
 // error, never UB. The Store itself is covered at the snapshot-file
 // level: record/flush/resume identity, per-field fingerprint refusal,
-// plan-hash (repetition cursor) refusal, torn-file rejection.
+// plan-hash (repetition cursor) refusal, torn-file and old-version
+// rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -538,6 +540,38 @@ TEST(Store, EveryBitFlipIsCaughtByTheChecksum) {
   // Restore the pristine bytes: the original must still load.
   write_snapshot(snap, full);
   EXPECT_NO_THROW(checkpoint::Store({dir.path(), 1, true}, test_fp()));
+}
+
+TEST(Store, VersionOneSnapshotIsRefused) {
+  // Format version 1 predates fig8's no-fault path recording reliability
+  // samples; its units must never be decoded as today's sample types. The
+  // patched header keeps a valid checksum, so only the version check can
+  // refuse it.
+  TempDir dir;
+  std::string snap;
+  {
+    checkpoint::Store store({dir.path(), 1, false}, test_fp());
+    store.begin_campaign(111);
+    store.record(0, 0, payload_bytes(1));
+    store.flush();
+    snap = store.path();
+  }
+  Bytes full = read_snapshot(snap);
+  Bytes body(full.begin(), full.end() - 8);
+  CodecWriter version;
+  version.u32(1);
+  std::copy(version.view().begin(), version.view().end(), body.begin() + 4);
+  CodecWriter checksum;
+  checksum.u64(util::fnv1a(body));
+  body.insert(body.end(), checksum.view().begin(), checksum.view().end());
+  write_snapshot(snap, body);
+  try {
+    checkpoint::Store store({dir.path(), 1, true}, test_fp());
+    FAIL() << "resume accepted a version-1 snapshot";
+  } catch (const checkpoint::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Store, SimulatedCrashFreezesTheSnapshotAtTheKillPoint) {

@@ -5,8 +5,9 @@
 //   - CI calibration: the 95% t-interval covers a known population mean at
 //     roughly the nominal rate on synthetic normal draws;
 //   - repetition independence: repetition r of an EnsembleCampaign is
-//     byte-identical to a standalone ShardedCampaign at repeat_seed(base, r),
-//     so adding repetitions never perturbs earlier ones;
+//     byte-identical to a standalone single-repetition campaign at
+//     repeat_seed(base, r), so adding repetitions never perturbs earlier
+//     ones;
 //   - the --repeats 1 byte-identity contract and the --jobs independence of
 //     the ensemble CSVs, checked end-to-end through the fig5 bench binary
 //     against tests/golden/ (BENCH_DIR / GOLDEN_DIR injected by CMake).
@@ -130,7 +131,7 @@ TEST(EnsembleSummary, CiCoversKnownMeanAtRoughlyNominalRate) {
 }
 
 // ---------------------------------------------------------------------------
-// EnsembleCampaign vs standalone ShardedCampaign
+// EnsembleCampaign vs standalone sharded runs
 
 std::string encode(const workload::FetchResult& r) {
   char a[48], b[48], c[48];
@@ -175,12 +176,12 @@ TEST(EnsembleCampaignTest, RepetitionsMatchStandaloneShardedRuns) {
   ASSERT_EQ(runs.reps.size(), 3u);
 
   for (int r = 0; r < 3; ++r) {
-    ShardedCampaignConfig solo = small_base(kSeed);
-    solo.scenario.seed = repeat_seed(kSeed, r);
-    ShardedCampaign standalone(solo);
+    // --repeats 1 is a plain sharded run on the base seed.
+    EnsembleCampaign standalone({small_base(repeat_seed(kSeed, r)), 1});
     EXPECT_EQ(encode_files(runs.reps[static_cast<std::size_t>(r)]),
-              encode_files(standalone.run_file_downloads(small_pts(),
-                                                         {1u << 20})))
+              encode_files(standalone
+                               .run_file_downloads(small_pts(), {1u << 20})
+                               .first()))
         << "repetition " << r
         << " is not reproducible as a standalone sharded campaign";
   }

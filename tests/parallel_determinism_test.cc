@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "ptperf/parallel.h"
+#include "ptperf/ensemble.h"
 #include "stats/table.h"
 
 namespace ptperf {
@@ -68,11 +68,10 @@ MixedTrace run_mixed(std::uint64_t seed, int jobs) {
   MixedTrace trace;
 
   {
-    ShardedCampaignConfig cfg = small_config(seed, jobs);
-    ShardedCampaign engine(cfg);
-    SiteSelection sites{2, 1};
+    EnsembleCampaign engine({small_config(seed, jobs), 1});
+    auto runs = engine.run_website_curl(mixed_pts(), SiteSelection{2, 1});
     stats::Table table({"pt", "site", "rep", "sample"});
-    for (const WebsiteSample& s : engine.run_website_curl(mixed_pts(), sites)) {
+    for (const WebsiteSample& s : runs.first()) {
       std::string row = s.pt + "|" + s.site + "|" + std::to_string(s.rep) +
                         "|" + encode(s.result);
       trace.website.push_back(row);
@@ -81,10 +80,9 @@ MixedTrace run_mixed(std::uint64_t seed, int jobs) {
     trace.website_csv = table.to_csv();
   }
   {
-    ShardedCampaignConfig cfg = small_config(seed, jobs);
-    ShardedCampaign engine(cfg);
-    for (const FileSample& s :
-         engine.run_file_downloads(mixed_pts(), {1u << 20, 2u << 20})) {
+    EnsembleCampaign engine({small_config(seed, jobs), 1});
+    auto runs = engine.run_file_downloads(mixed_pts(), {1u << 20, 2u << 20});
+    for (const FileSample& s : runs.first()) {
       trace.files.push_back(s.pt + "|" + std::to_string(s.size_bytes) + "|" +
                             std::to_string(s.rep) + "|" + encode(s.result));
     }
@@ -94,11 +92,11 @@ MixedTrace run_mixed(std::uint64_t seed, int jobs) {
     cfg.configure_scenario = [](Scenario& scenario) {
       scenario.install_fault_plan(fault::FaultPlan::paper_section_4_6());
     };
-    ShardedCampaign engine(cfg);
+    EnsembleCampaign engine({cfg, 1});
     RetryPolicy retry;
     retry.max_retries = 1;
-    for (const ReliabilitySample& s :
-         engine.run_reliability(mixed_pts(), {1u << 20}, retry)) {
+    auto runs = engine.run_reliability(mixed_pts(), {1u << 20}, retry);
+    for (const ReliabilitySample& s : runs.first()) {
       trace.reliability.push_back(
           s.pt + "|" + std::to_string(s.size_bytes) + "|" +
           std::to_string(s.rep) + "|" + std::to_string(s.attempts) + "|" +

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "ptperf/parallel.h"
+#include "ptperf/ensemble.h"
 #include "trace/decompose.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -178,10 +178,10 @@ TracedRun run_traced(std::uint64_t seed, int jobs, unsigned categories) {
   cfg.campaign.website_reps = 2;
   cfg.jobs = jobs;
   cfg.trace_categories = categories;
-  ShardedCampaign engine(cfg);
+  EnsembleCampaign engine({cfg, 1});
+  auto runs = engine.run_website_curl(traced_pts(), SiteSelection{2, 1});
   TracedRun run;
-  for (const WebsiteSample& s :
-       engine.run_website_curl(traced_pts(), SiteSelection{2, 1})) {
+  for (const WebsiteSample& s : runs.first()) {
     run.samples.push_back(s.pt + "|" + s.site + "|" + std::to_string(s.rep) +
                           "|" + encode(s.result));
   }

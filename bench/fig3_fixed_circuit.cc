@@ -77,7 +77,9 @@ int run(const BenchArgs& args) {
   // Iterations: fresh middle/exit pair per iteration, shared by all three
   // stacks (paper: 500 iterations x 5 sites; default 25, --scale grows).
   std::size_t iterations = scaled(25, args.scale, 5);
-  sim::Rng pick_rng = scenario.fork_rng("fig3-pick");
+  // Forked only for its side effect: Rng::fork advances the scenario RNG,
+  // so the sampler's stream below, and with it fig3's CSV, depends on it.
+  static_cast<void>(scenario.fork_rng("fig3-pick"));
   tor::PathSelector sampler(scenario.consensus(),
                             scenario.fork_rng("fig3-sampler"));
 

@@ -135,6 +135,26 @@ void BM_OnionLayer3Hop(benchmark::State& state) {
 }
 BENCHMARK(BM_OnionLayer3Hop);
 
+/// One relay cell's rolling digest at both ends: the sender commits it,
+/// the receiver (same keys) checks it, so both hashes advance in step.
+void BM_RelayDigest(benchmark::State& state) {
+  sim::Rng rng(7);
+  tor::CircuitKeys keys;
+  keys.forward_key = rng.bytes(32);
+  keys.backward_key = rng.bytes(32);
+  keys.forward_nonce = rng.bytes(12);
+  keys.backward_nonce = rng.bytes(12);
+  keys.digest_seed = rng.bytes(16);
+  tor::RelayLayer sender(keys), receiver(keys);
+  util::Bytes payload = rng.bytes(tor::kCellPayloadSize);
+  for (auto _ : state) {
+    std::uint32_t digest = sender.commit_forward_digest(payload);
+    benchmark::DoNotOptimize(receiver.check_forward_digest(payload, digest));
+  }
+  state.SetBytesProcessed(state.iterations() * tor::kCellPayloadSize);
+}
+BENCHMARK(BM_RelayDigest);
+
 // --------------------------------------------- zero-copy cell pipeline --
 
 /// The refactored hot path end to end: lease a pooled wire buffer, encode

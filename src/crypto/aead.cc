@@ -8,6 +8,18 @@
 namespace ptperf::crypto {
 namespace {
 
+/// The Poly1305 one-time key: the first 32 bytes of keystream block 0 of
+/// a stream that starts at counter 0. Consumes all of block 0, leaving the
+/// stream at block 1, where RFC 8439 §2.8 starts the encryption.
+std::array<std::uint8_t, Poly1305::kKeySize> take_poly1305_key(
+    ChaCha20& stream) {
+  std::array<std::uint8_t, 64> block0{};
+  stream.process(block0.data(), block0.size());
+  std::array<std::uint8_t, Poly1305::kKeySize> key{};
+  std::memcpy(key.data(), block0.data(), key.size());
+  return key;
+}
+
 std::array<std::uint8_t, Poly1305::kTagSize> poly1305_aead_tag(
     util::BytesView otk, util::BytesView aad, util::BytesView ciphertext) {
   Poly1305 mac(otk);
@@ -45,11 +57,9 @@ void ChaCha20Poly1305::seal_in_place(util::BytesView nonce,
                                      util::BytesView aad) const {
   if (buf.size() < plaintext_len + kTagSize)
     throw std::invalid_argument("chacha20poly1305: seal buffer too small");
-  auto block0 = ChaCha20::block(key_, nonce, 0);
-  util::BytesView otk(block0.data(), 32);
-
-  ChaCha20 cipher(key_, nonce, 1);
-  cipher.process(buf.data(), plaintext_len);
+  ChaCha20 stream(key_, nonce, 0);
+  auto otk = take_poly1305_key(stream);
+  stream.process(buf.data(), plaintext_len);
   auto tag =
       poly1305_aead_tag(otk, aad, util::BytesView(buf.data(), plaintext_len));
   std::memcpy(buf.data() + plaintext_len, tag.data(), kTagSize);
@@ -63,13 +73,12 @@ std::optional<std::size_t> ChaCha20Poly1305::open_in_place(
   util::BytesView ct(ct_and_tag.data(), ct_len);
   util::BytesView tag(ct_and_tag.data() + ct_len, kTagSize);
 
-  auto block0 = ChaCha20::block(key_, nonce, 0);
-  util::BytesView otk(block0.data(), 32);
+  ChaCha20 stream(key_, nonce, 0);
+  auto otk = take_poly1305_key(stream);
   auto expect = poly1305_aead_tag(otk, aad, ct);
   if (!util::ct_equal(expect, tag)) return std::nullopt;
 
-  ChaCha20 cipher(key_, nonce, 1);
-  cipher.process(ct_and_tag.data(), ct_len);
+  stream.process(ct_and_tag.data(), ct_len);
   return ct_len;
 }
 

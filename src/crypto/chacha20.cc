@@ -1,6 +1,5 @@
 #include "crypto/chacha20.h"
 
-#include <bit>
 #include <stdexcept>
 
 namespace ptperf::crypto {
@@ -13,17 +12,30 @@ inline std::uint32_t load_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
-                          std::uint32_t& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
+inline void store_le32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-void chacha_block(const std::array<std::uint32_t, 16>& in,
-                  std::array<std::uint8_t, 64>& out) {
-  std::array<std::uint32_t, 16> x = in;
+// The 20 rounds, written once for both the scalar reference block and the
+// four-lane batch (Word = std::uint32_t or U32x4 below).
+template <typename Word>
+inline Word rotl(Word v, int n) {
+  return (v << n) | (v >> (32 - n));
+}
+
+template <typename Word>
+inline void quarter_round(Word& a, Word& b, Word& c, Word& d) {
+  a += b; d ^= a; d = rotl(d, 16);
+  c += d; b ^= c; b = rotl(b, 12);
+  a += b; d ^= a; d = rotl(d, 8);
+  c += d; b ^= c; b = rotl(b, 7);
+}
+
+template <typename Word>
+void double_rounds(Word (&x)[16]) {
   for (int i = 0; i < 10; ++i) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -34,13 +46,34 @@ void chacha_block(const std::array<std::uint32_t, 16>& in,
     quarter_round(x[2], x[7], x[8], x[13]);
     quarter_round(x[3], x[4], x[9], x[14]);
   }
-  for (int i = 0; i < 16; ++i) {
-    std::uint32_t v = x[i] + in[i];
-    out[i * 4] = static_cast<std::uint8_t>(v);
-    out[i * 4 + 1] = static_cast<std::uint8_t>(v >> 8);
-    out[i * 4 + 2] = static_cast<std::uint8_t>(v >> 16);
-    out[i * 4 + 3] = static_cast<std::uint8_t>(v >> 24);
-  }
+}
+
+// Scalar RFC 8439 block function: one block for the counter in in[12].
+void chacha_block(const std::array<std::uint32_t, 16>& in,
+                  std::array<std::uint8_t, 64>& out) {
+  std::uint32_t x[16];
+  for (int i = 0; i < 16; ++i) x[i] = in[i];
+  double_rounds(x);
+  for (int i = 0; i < 16; ++i) store_le32(out.data() + i * 4, x[i] + in[i]);
+}
+
+// Four consecutive blocks, one per lane: lane b of x[i] is word i of block
+// in[12] + b. The GCC/Clang vector extension lowers to the target's
+// baseline SIMD (SSE2 on x86-64, NEON on AArch64) without an intrinsics
+// header, target flag or CPU dispatch.
+typedef std::uint32_t U32x4 __attribute__((vector_size(16)));
+
+void chacha_blocks4(const std::array<std::uint32_t, 16>& in,
+                    std::uint8_t* out) {
+  U32x4 lanes[16];
+  for (int i = 0; i < 16; ++i) lanes[i] = U32x4{} + in[i];
+  lanes[12] += U32x4{0, 1, 2, 3};  // each lane's counter wraps on its own
+  U32x4 x[16];
+  for (int i = 0; i < 16; ++i) x[i] = lanes[i];
+  double_rounds(x);
+  for (int i = 0; i < 16; ++i) x[i] += lanes[i];
+  for (int b = 0; b < 4; ++b)
+    for (int i = 0; i < 16; ++i) store_le32(out + b * 64 + i * 4, x[i][b]);
 }
 
 }  // namespace
@@ -57,20 +90,20 @@ ChaCha20::ChaCha20(util::BytesView key, util::BytesView nonce,
 }
 
 void ChaCha20::refill() {
-  chacha_block(state_, keystream_);
-  state_[12] += 1;
+  chacha_blocks4(state_, keystream_.data());
+  state_[12] += 4;
   keystream_pos_ = 0;
 }
 
 void ChaCha20::process(std::uint8_t* data, std::size_t len) {
-  // XOR in runs against the buffered keystream block, eight bytes per
+  // XOR in runs against the buffered keystream batch, eight bytes per
   // operation: the onion data path XORs every relay cell three times per
   // direction, so this loop bounds circuit throughput.
   std::size_t i = 0;
   while (i < len) {
-    if (keystream_pos_ == 64) refill();
+    if (keystream_pos_ == kBatchSize) refill();
     std::size_t run = len - i;
-    if (run > 64 - keystream_pos_) run = 64 - keystream_pos_;
+    if (run > kBatchSize - keystream_pos_) run = kBatchSize - keystream_pos_;
     const std::uint8_t* ks = keystream_.data() + keystream_pos_;
     std::size_t w = 0;
     for (; w + 8 <= run; w += 8) {
@@ -90,8 +123,9 @@ std::array<std::uint8_t, 64> ChaCha20::block(util::BytesView key,
                                              util::BytesView nonce,
                                              std::uint32_t counter) {
   ChaCha20 c(key, nonce, counter);
-  c.refill();
-  return c.keystream_;
+  std::array<std::uint8_t, 64> out{};
+  chacha_block(c.state_, out);
+  return out;
 }
 
 }  // namespace ptperf::crypto

@@ -19,6 +19,8 @@ class ChaCha20 {
 
   /// XORs the keystream into data in place, continuing from the current
   /// stream position (so successive calls encrypt a contiguous stream).
+  /// The keystream is generated four blocks at a time; the block counter
+  /// wraps at 2^32 as in RFC 8439.
   void process(std::uint8_t* data, std::size_t len);
 
   util::Bytes process_copy(util::BytesView data) {
@@ -27,18 +29,21 @@ class ChaCha20 {
     return out;
   }
 
-  /// Produces one 64-byte keystream block for the given counter (used by
-  /// Poly1305 one-time-key generation, counter = 0).
+  /// Produces one 64-byte keystream block for the given counter with the
+  /// scalar RFC 8439 block function: the reference that the batched
+  /// keystream of process() is tested against.
   static std::array<std::uint8_t, 64> block(util::BytesView key,
                                             util::BytesView nonce,
                                             std::uint32_t counter);
 
  private:
+  static constexpr std::size_t kBatchSize = 4 * 64;
+
   void refill();
 
   std::array<std::uint32_t, 16> state_;
-  std::array<std::uint8_t, 64> keystream_;
-  std::size_t keystream_pos_ = 64;  // empty
+  std::array<std::uint8_t, kBatchSize> keystream_;
+  std::size_t keystream_pos_ = kBatchSize;  // empty
 };
 
 }  // namespace ptperf::crypto

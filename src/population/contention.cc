@@ -65,47 +65,44 @@ IranSurge iran_surge(int horizon_weeks) {
   // (u ~= 0.25 through the saturation curve) and the 12.8x surge on the
   // Iranian cohorts lifts the total ~8x (u ~= 0.88) — the paper's §5.3
   // operating points emerge from demand rather than being hand-set.
-  Cohort ir_mobile;
-  ir_mobile.name = "ir-mobile";
-  ir_mobile.country = "IR";
-  ir_mobile.adoption_weight = 1.0;
-  ir_mobile.arrivals_per_hour = 950.0e3;
-  ir_mobile.mean_session_minutes = 20.0;
-  ir_mobile.diurnal_amplitude = 0.45;
-  ir_mobile.peak_hour_utc = 17.0;  // evening IRST
-  ir_mobile.surge_affected = true;
-
-  Cohort ir_broadband = ir_mobile;
-  ir_broadband.name = "ir-broadband";
-  ir_broadband.arrivals_per_hour = 650.0e3;
-  ir_broadband.diurnal_amplitude = 0.35;
-
-  Cohort global_web;
-  global_web.name = "global-web";
-  global_web.country = "*";
-  global_web.arrivals_per_hour = 500.0e3;
-  global_web.mean_session_minutes = 20.0;
-  global_web.diurnal_amplitude = 0.15;  // phase-smeared across timezones
-  global_web.peak_hour_utc = 20.0;
-
-  Cohort cn_mobile;
-  cn_mobile.name = "cn-mobile";
-  cn_mobile.country = "CN";
-  cn_mobile.arrivals_per_hour = 350.0e3;
-  cn_mobile.mean_session_minutes = 20.0;
-  cn_mobile.diurnal_amplitude = 0.5;
-  cn_mobile.peak_hour_utc = 13.0;  // evening CST
-
-  Cohort ru_broadband;
-  ru_broadband.name = "ru-broadband";
-  ru_broadband.country = "RU";
-  ru_broadband.arrivals_per_hour = 250.0e3;
-  ru_broadband.mean_session_minutes = 20.0;
-  ru_broadband.diurnal_amplitude = 0.4;
-  ru_broadband.peak_hour_utc = 16.0;
-
-  s.pop.cohorts = {ir_mobile, ir_broadband, global_web, cn_mobile,
-                   ru_broadband};
+  // Built in place: copying a cohort and reassigning its strings draws
+  // false -Wrestrict/-Wmaybe-uninitialized reports from GCC 12 at -O3.
+  s.pop.cohorts = {
+      {.name = "ir-mobile",
+       .country = "IR",
+       .adoption_weight = 1.0,
+       .arrivals_per_hour = 950.0e3,
+       .mean_session_minutes = 20.0,
+       .diurnal_amplitude = 0.45,
+       .peak_hour_utc = 17.0,  // evening IRST
+       .surge_affected = true},
+      {.name = "ir-broadband",
+       .country = "IR",
+       .adoption_weight = 1.0,
+       .arrivals_per_hour = 650.0e3,
+       .mean_session_minutes = 20.0,
+       .diurnal_amplitude = 0.35,
+       .peak_hour_utc = 17.0,
+       .surge_affected = true},
+      {.name = "global-web",
+       .country = "*",
+       .arrivals_per_hour = 500.0e3,
+       .mean_session_minutes = 20.0,
+       .diurnal_amplitude = 0.15,  // phase-smeared across timezones
+       .peak_hour_utc = 20.0},
+      {.name = "cn-mobile",
+       .country = "CN",
+       .arrivals_per_hour = 350.0e3,
+       .mean_session_minutes = 20.0,
+       .diurnal_amplitude = 0.5,
+       .peak_hour_utc = 13.0},  // evening CST
+      {.name = "ru-broadband",
+       .country = "RU",
+       .arrivals_per_hour = 250.0e3,
+       .mean_session_minutes = 20.0,
+       .diurnal_amplitude = 0.4,
+       .peak_hour_utc = 16.0},
+  };
 
   // Mahsa Amini protest onset at the start of surge_week; 24 h mobilization
   // ramp, then sustained (the load never recovered within the paper's

@@ -2,6 +2,37 @@
 
 namespace ptperf::tor {
 
+namespace {
+
+/// The first four bytes, big-endian, of the digest of everything hashed
+/// into `state` so far; `state` itself stays open for more input.
+std::uint32_t running_digest(const crypto::Sha256& state) {
+  crypto::Sha256 copy = state;
+  auto d = copy.finalize();
+  return static_cast<std::uint32_t>(d[0]) << 24 |
+         static_cast<std::uint32_t>(d[1]) << 16 |
+         static_cast<std::uint32_t>(d[2]) << 8 | d[3];
+}
+
+// Commit and check each hash the payload once: the rolling state advances
+// (for a check, a copy of it, kept only on a match) and the digest is read
+// from a finalized copy.
+std::uint32_t commit(crypto::Sha256& state, util::BytesView payload) {
+  state.update(payload);
+  return running_digest(state);
+}
+
+bool check(crypto::Sha256& state, util::BytesView payload,
+           std::uint32_t expected) {
+  crypto::Sha256 next = state;
+  next.update(payload);
+  if (running_digest(next) != expected) return false;
+  state = next;
+  return true;
+}
+
+}  // namespace
+
 RelayLayer::RelayLayer(const CircuitKeys& keys)
     : fwd_(keys.forward_key, keys.forward_nonce),
       bwd_(keys.backward_key, keys.backward_nonce) {
@@ -11,40 +42,22 @@ RelayLayer::RelayLayer(const CircuitKeys& keys)
   bwd_digest_.update(util::to_bytes("bwd"));
 }
 
-std::uint32_t RelayLayer::peek(const crypto::Sha256& state,
-                               util::BytesView payload) {
-  crypto::Sha256 copy = state;
-  copy.update(payload);
-  auto d = copy.finalize();
-  return static_cast<std::uint32_t>(d[0]) << 24 |
-         static_cast<std::uint32_t>(d[1]) << 16 |
-         static_cast<std::uint32_t>(d[2]) << 8 | d[3];
-}
-
 std::uint32_t RelayLayer::commit_forward_digest(util::BytesView payload) {
-  std::uint32_t d = peek(fwd_digest_, payload);
-  fwd_digest_.update(payload);
-  return d;
+  return commit(fwd_digest_, payload);
 }
 
 std::uint32_t RelayLayer::commit_backward_digest(util::BytesView payload) {
-  std::uint32_t d = peek(bwd_digest_, payload);
-  bwd_digest_.update(payload);
-  return d;
+  return commit(bwd_digest_, payload);
 }
 
 bool RelayLayer::check_forward_digest(util::BytesView payload,
                                       std::uint32_t expected) {
-  if (peek(fwd_digest_, payload) != expected) return false;
-  fwd_digest_.update(payload);
-  return true;
+  return check(fwd_digest_, payload, expected);
 }
 
 bool RelayLayer::check_backward_digest(util::BytesView payload,
                                        std::uint32_t expected) {
-  if (peek(bwd_digest_, payload) != expected) return false;
-  bwd_digest_.update(payload);
-  return true;
+  return check(bwd_digest_, payload, expected);
 }
 
 }  // namespace ptperf::tor

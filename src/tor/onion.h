@@ -44,9 +44,6 @@ class RelayLayer {
   bool check_backward_digest(util::BytesView payload, std::uint32_t expected);
 
  private:
-  static std::uint32_t peek(const crypto::Sha256& state,
-                            util::BytesView payload);
-
   crypto::ChaCha20 fwd_;
   crypto::ChaCha20 bwd_;
   crypto::Sha256 fwd_digest_;

@@ -148,6 +148,37 @@ TEST(ChaCha20, StreamContinuity) {
   EXPECT_EQ(part1, whole);
 }
 
+// The batched keystream against the single-block reference: zeros through
+// the stream, cut at random points, must read back block(c), block(c + 1),
+// ... with the 32-bit counter wrapping inside a batch at 0xFFFFFFFD. Both
+// ends of every circuit run the same cipher, so round trips cannot catch a
+// wrong but self-consistent keystream; this can.
+TEST(ChaCha20, StreamMatchesReferenceBlocks) {
+  sim::Rng rng(11);
+  Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+  for (std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu}) {
+    for (std::size_t len : {1u, 63u, 64u, 255u, 256u, 257u, 509u, 1000u,
+                            4096u}) {
+      Bytes expect;
+      for (std::uint32_t i = 0; expect.size() < len; ++i) {
+        auto block = ChaCha20::block(key, nonce, counter + i);
+        expect.insert(expect.end(), block.begin(), block.end());
+      }
+      expect.resize(len);
+
+      Bytes got(len, 0);
+      ChaCha20 cipher(key, nonce, counter);
+      std::size_t at = 0;
+      while (at < len) {
+        std::size_t run = 1 + rng.next_below(len - at);
+        cipher.process(got.data() + at, run);
+        at += run;
+      }
+      EXPECT_EQ(got, expect) << "counter " << counter << ", length " << len;
+    }
+  }
+}
+
 TEST(Poly1305, Rfc8439Vector) {
   Bytes key = *hex_decode(
       "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
@@ -199,6 +230,52 @@ TEST(Aead, RejectsTampering) {
   EXPECT_FALSE(aead.open(nonce, sealed, to_bytes("other-aad")));
   EXPECT_FALSE(aead.open(nonce, Bytes{1, 2, 3}, {}));  // shorter than a tag
   EXPECT_TRUE(aead.open(nonce, sealed, to_bytes("aad")));
+}
+
+// seal_in_place against RFC 8439 §2.8 composed here from the primitives:
+// the Poly1305 key is block 0, the plaintext is encrypted from block 1,
+// and the tag covers aad || pad16 || ciphertext || pad16 || le64 lengths.
+TEST(Aead, SealInPlaceMatchesRfc8439Composition) {
+  sim::Rng rng(12);
+  Bytes key = rng.bytes(32);
+  ChaCha20Poly1305 aead(key);
+  std::uint64_t seq = 0;
+  for (std::size_t len : {0u, 1u, 63u, 64u, 65u, 191u, 192u, 193u, 498u,
+                          514u, 8192u}) {
+    for (std::size_t aad_len : {0u, 13u}) {
+      Bytes nonce = counter_nonce(seq++);
+      Bytes aad = rng.bytes(aad_len);
+      Bytes plaintext = rng.bytes(len);
+
+      auto block0 = ChaCha20::block(key, nonce, 0);
+      Bytes expect = ChaCha20(key, nonce, 1).process_copy(plaintext);
+      Bytes mac_input = aad;
+      mac_input.resize((aad.size() + 15) / 16 * 16, 0);
+      mac_input.insert(mac_input.end(), expect.begin(), expect.end());
+      mac_input.resize(mac_input.size() + (16 - expect.size() % 16) % 16, 0);
+      for (std::uint64_t n : {std::uint64_t{aad_len}, std::uint64_t{len}})
+        for (int i = 0; i < 8; ++i)
+          mac_input.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
+      auto tag = Poly1305::mac(util::BytesView(block0.data(), 32), mac_input);
+      expect.insert(expect.end(), tag.begin(), tag.end());
+
+      Bytes buf = plaintext;
+      buf.resize(len + ChaCha20Poly1305::kTagSize);
+      aead.seal_in_place(nonce, buf, len, aad);
+      EXPECT_EQ(buf, expect) << "length " << len << ", aad " << aad_len;
+
+      Bytes tampered = buf;
+      tampered[len + rng.next_below(ChaCha20Poly1305::kTagSize)] ^= 0x01;
+      Bytes before = tampered;
+      EXPECT_FALSE(aead.open_in_place(nonce, tampered, aad));
+      EXPECT_EQ(tampered, before) << "failed open touched the buffer";
+
+      auto opened = aead.open_in_place(nonce, buf, aad);
+      ASSERT_TRUE(opened);
+      EXPECT_EQ(*opened, len);
+      EXPECT_EQ(Bytes(buf.begin(), buf.begin() + len), plaintext);
+    }
+  }
 }
 
 TEST(X25519, Rfc7748ScalarMult) {

@@ -151,7 +151,9 @@ TEST(Streaming, MarionetteStallsBelowBitrate) {
   // Either it stalls repeatedly or the resolver cuts the session.
   EXPECT_TRUE(result.rebuffer_events >= 2 || !result.completed)
       << "rebuffers=" << result.rebuffer_events;
-  if (result.completed) EXPECT_GT(result.stall_ratio(spec), 0.2);
+  if (result.completed) {
+    EXPECT_GT(result.stall_ratio(spec), 0.2);
+  }
 }
 
 TEST(Streaming, ServerPacesAtBitrate) {

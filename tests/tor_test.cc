@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "crypto/sha256.h"
 #include "ptperf/scenario.h"
 #include "tor/cell.h"
 #include "tor/ntor.h"
@@ -186,6 +187,65 @@ TEST(OnionLayer, CheckWithoutCommitDoesNotPerturb) {
   // A failed check (cell for another hop) must not advance the hash.
   EXPECT_FALSE(receiver.check_forward_digest(unrelated, 0xDEAD));
   EXPECT_TRUE(receiver.check_forward_digest(cell1, d1));
+}
+
+TEST(OnionLayer, BackwardCheckWithoutCommitDoesNotPerturb) {
+  sim::Rng rng(9);
+  CircuitKeys keys = test_keys(rng);
+  RelayLayer sender(keys), receiver(keys);
+
+  util::Bytes cell1 = rng.bytes(kCellPayloadSize);
+  util::Bytes unrelated = rng.bytes(kCellPayloadSize);
+  std::uint32_t d1 = sender.commit_backward_digest(cell1);
+  EXPECT_FALSE(receiver.check_backward_digest(unrelated, 0xDEAD));
+  EXPECT_TRUE(receiver.check_backward_digest(cell1, d1));
+}
+
+/// The relay digest as a two-pass reference: a rolling SHA-256 seeded
+/// like RelayLayer's (digest_seed, then the direction label), read through
+/// a finalized copy, then advanced by the payload.
+class ReferenceDigest {
+ public:
+  ReferenceDigest(const CircuitKeys& keys, const char* direction) {
+    rolling_.update(keys.digest_seed);
+    rolling_.update(util::to_bytes(direction));
+  }
+  std::uint32_t next(util::BytesView payload) {
+    crypto::Sha256 copy = rolling_;
+    copy.update(payload);
+    auto d = copy.finalize();
+    rolling_.update(payload);
+    return static_cast<std::uint32_t>(d[0]) << 24 |
+           static_cast<std::uint32_t>(d[1]) << 16 |
+           static_cast<std::uint32_t>(d[2]) << 8 | d[3];
+  }
+
+ private:
+  crypto::Sha256 rolling_;
+};
+
+// Both ends share keys, so they agree with each other even when seeded or
+// advanced wrongly; only an independent reference pins the bytes.
+TEST(OnionLayer, DigestsMatchTwoPassReference) {
+  sim::Rng rng(13);
+  CircuitKeys keys = test_keys(rng);
+  RelayLayer client(keys), exit_hop(keys);
+  ReferenceDigest fwd(keys, "fwd"), bwd(keys, "bwd");
+
+  for (int i = 0; i < 20; ++i) {
+    util::Bytes up = rng.bytes(kCellPayloadSize);
+    util::Bytes down = rng.bytes(kCellPayloadSize);
+    std::uint32_t up_digest = fwd.next(up);
+    std::uint32_t down_digest = bwd.next(down);
+    EXPECT_EQ(client.commit_forward_digest(up), up_digest) << i;
+    EXPECT_EQ(exit_hop.commit_backward_digest(down), down_digest) << i;
+    if (i % 5 == 0) {  // a cell for another hop leaves the state alone
+      EXPECT_FALSE(exit_hop.check_forward_digest(up, up_digest ^ 1));
+      EXPECT_FALSE(client.check_backward_digest(down, down_digest ^ 1));
+    }
+    EXPECT_TRUE(exit_hop.check_forward_digest(up, up_digest)) << i;
+    EXPECT_TRUE(client.check_backward_digest(down, down_digest)) << i;
+  }
 }
 
 TEST(OnionLayer, MultiHopLayering) {

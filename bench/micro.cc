@@ -6,10 +6,10 @@
 // The suite doubles as the repo's perf gate: tools/bench_check.sh runs it
 // with --benchmark_format=json, condenses the output into BENCH_micro.json
 // and compares against bench/baseline.json (see docs/PERFORMANCE.md).
-// Legacy-API benchmarks (BM_CellRoundTrip, BM_AeadSealOpen) are kept
-// alongside their zero-copy counterparts (BM_CellPipeline,
-// BM_AeadSealOpenInPlace) so the trajectory records what the buffer
-// discipline bought.
+// BM_CellPipeline and BM_AeadSealOpenInPlace are paired there with the
+// baseline's entries for the allocating codec and AEAD they replaced
+// (BM_CellRoundTrip, BM_AeadSealOpen), so the trajectory records what the
+// buffer discipline bought.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -67,21 +67,6 @@ void BM_Poly1305(benchmark::State& state) {
 }
 BENCHMARK(BM_Poly1305)->Arg(512)->Arg(16384);
 
-void BM_AeadSealOpen(benchmark::State& state) {
-  sim::Rng rng(3);
-  crypto::ChaCha20Poly1305 aead(rng.bytes(32));
-  util::Bytes data(static_cast<std::size_t>(state.range(0)), 0x42);
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    auto ct = aead.seal(crypto::counter_nonce(seq), data);
-    auto pt = aead.open(crypto::counter_nonce(seq), ct);
-    benchmark::DoNotOptimize(pt);
-    ++seq;
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AeadSealOpen)->Arg(498)->Arg(8192);
-
 void BM_X25519(benchmark::State& state) {
   sim::Rng rng(4);
   crypto::X25519Key scalar{};
@@ -92,25 +77,6 @@ void BM_X25519(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519);
-
-void BM_CellRoundTrip(benchmark::State& state) {
-  sim::Rng rng(5);
-  tor::RelayCell rc;
-  rc.command = tor::RelayCommand::kData;
-  rc.stream_id = 7;
-  rc.data = rng.bytes(tor::kRelayDataMax);
-  for (auto _ : state) {
-    tor::Cell cell;
-    cell.circ_id = 99;
-    cell.command = tor::CellCommand::kRelay;
-    cell.payload = rc.encode();
-    util::Bytes wire = cell.encode();
-    auto back = tor::Cell::decode(wire);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetBytesProcessed(state.iterations() * tor::kCellSize);
-}
-BENCHMARK(BM_CellRoundTrip);
 
 void BM_OnionLayer3Hop(benchmark::State& state) {
   sim::Rng rng(6);
@@ -159,8 +125,7 @@ BENCHMARK(BM_RelayDigest);
 
 /// The refactored hot path end to end: lease a pooled wire buffer, encode
 /// the relay cell and cell header straight into it, then parse both back
-/// as borrowed views. Compare against BM_CellRoundTrip, which allocates
-/// three vectors per cell for the same bytes.
+/// as borrowed views.
 void BM_CellPipeline(benchmark::State& state) {
   sim::Rng rng(5);
   util::Bytes data = rng.bytes(tor::kRelayDataMax);
@@ -181,8 +146,7 @@ void BM_CellPipeline(benchmark::State& state) {
 BENCHMARK(BM_CellPipeline);
 
 /// In-place AEAD over one pooled buffer with a stack nonce — the framing
-/// layers' record path. Compare against BM_AeadSealOpen (fresh vectors and
-/// heap nonces per record).
+/// layers' record path.
 void BM_AeadSealOpenInPlace(benchmark::State& state) {
   sim::Rng rng(3);
   crypto::ChaCha20Poly1305 aead(rng.bytes(32));
@@ -218,21 +182,6 @@ void BM_BufPoolAcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_BufPoolAcquireRelease);
-
-/// Arena bump-allocation with periodic reset — per-turn scratch churn.
-void BM_ArenaAllocReset(benchmark::State& state) {
-  util::Arena arena;
-  for (auto _ : state) {
-    for (int i = 0; i < 16; ++i) {
-      auto s = arena.alloc(tor::kCellPayloadSize);
-      s[0] = static_cast<std::uint8_t>(i);
-      benchmark::DoNotOptimize(s.data());
-    }
-    arena.reset();
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_ArenaAllocReset);
 
 /// The relay splice: strip the cell header off a received wire buffer and
 /// hand the same storage on (drop_front + move), versus copying the

@@ -82,43 +82,12 @@ std::optional<std::size_t> ChaCha20Poly1305::open_in_place(
   return ct_len;
 }
 
-// simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-util::Bytes ChaCha20Poly1305::seal(util::BytesView nonce,
-                                   util::BytesView plaintext,
-                                   util::BytesView aad) const {
-  // simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-  util::Bytes out(plaintext.size() + kTagSize);
-  if (!plaintext.empty())
-    std::memcpy(out.data(), plaintext.data(), plaintext.size());
-  seal_in_place(nonce, out, plaintext.size(), aad);
-  return out;
-}
-
-// simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-std::optional<util::Bytes> ChaCha20Poly1305::open(
-    util::BytesView nonce, util::BytesView ciphertext_and_tag,
-    util::BytesView aad) const {
-  // simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-  util::Bytes work(ciphertext_and_tag.begin(), ciphertext_and_tag.end());
-  auto len = open_in_place(nonce, work, aad);
-  if (!len) return std::nullopt;
-  work.resize(*len);
-  return work;
-}
-
 std::array<std::uint8_t, ChaCha20Poly1305::kNonceSize> counter_nonce_arr(
     std::uint64_t counter) {
   std::array<std::uint8_t, ChaCha20Poly1305::kNonceSize> nonce = {};
   for (int i = 0; i < 8; ++i)
     nonce[i] = static_cast<std::uint8_t>(counter >> (8 * i));
   return nonce;
-}
-
-// simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-util::Bytes counter_nonce(std::uint64_t counter) {
-  auto a = counter_nonce_arr(counter);
-  // simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-  return util::Bytes(a.begin(), a.end());
 }
 
 }  // namespace ptperf::crypto

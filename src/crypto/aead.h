@@ -1,11 +1,9 @@
 // ChaCha20-Poly1305 AEAD (RFC 8439 §2.8). Record protection for the
 // shadowsocks / obfs4 / cloak framings in src/pt.
 //
-// The in-place entry points (seal_in_place / open_in_place) are the hot
-// path: they encrypt or decrypt a caller-owned span without allocating,
-// so a framing layer can seal a record directly inside a pooled wire
-// buffer. The allocating seal/open remain as thin wrappers for cold call
-// sites and produce byte-identical output.
+// Both entry points work in place: they encrypt or decrypt a caller-owned
+// span without allocating, so a framing layer can seal a record directly
+// inside a pooled wire buffer.
 #pragma once
 
 #include <array>
@@ -38,25 +36,13 @@ class ChaCha20Poly1305 {
                                            std::span<std::uint8_t> ct_and_tag,
                                            util::BytesView aad = {}) const;
 
-  /// Returns ciphertext || 16-byte tag.
-  util::Bytes seal(util::BytesView nonce, util::BytesView plaintext,
-                   util::BytesView aad = {}) const;
-
-  /// Verifies and strips the tag; nullopt on authentication failure.
-  std::optional<util::Bytes> open(util::BytesView nonce,
-                                  util::BytesView ciphertext_and_tag,
-                                  util::BytesView aad = {}) const;
-
  private:
   util::Bytes key_;
 };
 
-/// 96-bit little-endian counter nonce written into a stack array — the
-/// allocation-free form for per-record nonces on the hot path.
+/// 96-bit little-endian counter nonce, as used by shadowsocks AEAD chunks,
+/// written into a stack array.
 std::array<std::uint8_t, ChaCha20Poly1305::kNonceSize> counter_nonce_arr(
     std::uint64_t counter);
-
-/// 96-bit little-endian counter nonce, as used by shadowsocks AEAD chunks.
-util::Bytes counter_nonce(std::uint64_t counter);
 
 }  // namespace ptperf::crypto

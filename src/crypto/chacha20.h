@@ -23,12 +23,6 @@ class ChaCha20 {
   /// wraps at 2^32 as in RFC 8439.
   void process(std::uint8_t* data, std::size_t len);
 
-  util::Bytes process_copy(util::BytesView data) {
-    util::Bytes out(data.begin(), data.end());
-    process(out.data(), out.size());
-    return out;
-  }
-
   /// Produces one 64-byte keystream block for the given counter with the
   /// scalar RFC 8439 block function: the reference that the batched
   /// keystream of process() is tested against.

@@ -124,11 +124,4 @@ std::array<std::uint8_t, Sha256::kDigestSize> Sha256::digest(
   return h.finalize();
 }
 
-// simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-util::Bytes sha256(util::BytesView data) {
-  auto d = Sha256::digest(data);
-  // simlint: allow(hot-path-copy) -- allocating wrapper kept for cold callers
-  return util::Bytes(d.begin(), d.end());
-}
-
 }  // namespace ptperf::crypto

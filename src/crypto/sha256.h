@@ -32,7 +32,4 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// Digest as an owned Bytes (handy for Writer::raw chains).
-util::Bytes sha256(util::BytesView data);
-
 }  // namespace ptperf::crypto

@@ -179,13 +179,4 @@ std::shared_ptr<workload::Fetcher> Scenario::make_loopback_fetcher(
       loop_, make_loopback_dialer(host, socks_service));
 }
 
-ClientStack Scenario::make_vanilla_stack(const std::string& socks_service) {
-  ClientStack stack;
-  stack.tor = make_tor_client(client_host_);
-  stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, socks_service);
-  stack.socks->start();
-  stack.fetcher = make_loopback_fetcher(client_host_, socks_service);
-  return stack;
-}
-
 }  // namespace ptperf

@@ -16,7 +16,6 @@
 #include "tor/client.h"
 #include "tor/directory.h"
 #include "tor/relay.h"
-#include "tor/socks_server.h"
 #include "workload/fetcher.h"
 #include "workload/webserver.h"
 
@@ -37,14 +36,6 @@ struct ScenarioConfig {
   /// Client connected via WiFi instead of ethernet (§4.7): higher jitter,
   /// lower effective access rate.
   bool wireless_client = false;
-};
-
-/// Everything a measurement client needs: the Tor client, its local SOCKS
-/// listener, and a fetcher dialling that listener.
-struct ClientStack {
-  std::shared_ptr<tor::TorClient> tor;
-  std::shared_ptr<tor::TorSocksServer> socks;
-  std::shared_ptr<workload::Fetcher> fetcher;
 };
 
 class Scenario {
@@ -104,10 +95,8 @@ class Scenario {
   trace::Recorder& enable_trace(unsigned categories = trace::kDefault);
   trace::Recorder* trace_recorder() { return trace_.get(); }
 
-  /// Vanilla-Tor client stack on the main client host.
-  ClientStack make_vanilla_stack(const std::string& socks_service = "socks");
-
-  /// Stack pieces on an arbitrary host (PT factories reuse this).
+  /// Client stack pieces on an arbitrary host; TransportFactory assembles
+  /// them into vanilla and PT stacks.
   std::shared_ptr<tor::TorClient> make_tor_client(net::HostId host);
   std::shared_ptr<workload::Fetcher> make_loopback_fetcher(
       net::HostId host, const std::string& socks_service);

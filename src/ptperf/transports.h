@@ -15,6 +15,7 @@
 #include "pt/snowflake.h"
 #include "pt/transport.h"
 #include "ptperf/scenario.h"
+#include "tor/socks_server.h"
 
 namespace ptperf {
 

@@ -63,50 +63,6 @@ bool encode_relay_cell_into(std::span<std::uint8_t> out, RelayCommand command,
   return true;
 }
 
-// simlint: allow(hot-path-copy) -- cold-path codec, wraps the view encoder
-util::Bytes Cell::encode() const {
-  if (payload.size() > kCellPayloadSize) return {};
-  // simlint: allow(hot-path-copy) -- cold-path codec, wraps the view encoder
-  util::Bytes out(kCellSize);
-  encode_cell_into(out, circ_id, command, payload);
-  return out;
-}
-
-std::optional<Cell> Cell::decode(util::BytesView wire) {
-  auto v = parse_cell(wire);
-  if (!v) return std::nullopt;
-  Cell c;
-  c.circ_id = v->circ_id;
-  c.command = v->command;
-  c.payload.assign(v->payload.begin(), v->payload.end());
-  return c;
-}
-
-// simlint: allow(hot-path-copy) -- cold-path codec, wraps the view encoder
-util::Bytes RelayCell::encode() const {
-  if (data.size() > kRelayDataMax) return {};
-  // simlint: allow(hot-path-copy) -- cold-path codec, wraps the view encoder
-  util::Bytes out(kCellPayloadSize);
-  encode_relay_cell_into(out, command, stream_id, digest, data);
-  // The view encoder writes recognized as zero (hot-path cells are always
-  // freshly originated); honor an explicitly-set field here.
-  out[1] = static_cast<std::uint8_t>(recognized >> 8);
-  out[2] = static_cast<std::uint8_t>(recognized);
-  return out;
-}
-
-std::optional<RelayCell> RelayCell::decode(util::BytesView payload) {
-  auto v = parse_relay_cell(payload);
-  if (!v) return std::nullopt;
-  RelayCell c;
-  c.command = v->command;
-  c.recognized = v->recognized;
-  c.stream_id = v->stream_id;
-  c.digest = v->digest;
-  c.data.assign(v->data.begin(), v->data.end());
-  return c;
-}
-
 // simlint: allow(hot-path-copy) -- handshake-time EXTEND2 body, not per cell
 util::Bytes Extend2::encode() const {
   util::Writer w(4 + handshake.size());

@@ -3,14 +3,9 @@
 // RELAY payloads. Sizes match the real protocol so byte overheads in the
 // benches are faithful.
 //
-// Two codec surfaces share the format:
-//   * CellView / RelayCellView + parse_* + encode_*_into — the zero-copy
-//     hot path. Views borrow the wire buffer; encode-into writers fill a
-//     caller-provided span (typically a pooled util::Buf slot) without
-//     allocating.
-//   * Cell / RelayCell with encode()/decode() — owning structs for cold
-//     paths and tests, implemented on top of the view codecs so both
-//     surfaces stay byte-for-byte identical.
+// parse_* return CellView / RelayCellView, which borrow the wire buffer;
+// the encode_*_into writers fill a caller-provided span (typically a
+// pooled util::Buf slot) without allocating.
 #pragma once
 
 #include <cstdint>
@@ -59,8 +54,6 @@ enum class RelayCommand : std::uint8_t {
   kExtended2 = 15,
 };
 
-// ------------------------------------------------------------ hot path --
-
 /// Borrowed view of a decoded cell. `payload` aliases the wire buffer
 /// (always exactly kCellPayloadSize) and is valid only as long as it.
 struct CellView {
@@ -91,7 +84,9 @@ bool encode_cell_into(std::span<std::uint8_t> out, CircId circ_id,
                       CellCommand command, util::BytesView payload);
 
 /// Serializes a relay cell into `out` (exactly kCellPayloadSize bytes,
-/// zero padding) with the digest field as given.
+/// zero padding) with `recognized` zero and the digest field as given.
+/// Returns false when data is longer than kRelayDataMax or `out` has the
+/// wrong size.
 bool encode_relay_cell_into(std::span<std::uint8_t> out, RelayCommand command,
                             StreamId stream_id, std::uint32_t digest,
                             util::BytesView data);
@@ -140,33 +135,7 @@ class ScopedDigestZero {
   std::uint8_t saved_[4];
 };
 
-// ----------------------------------------------------------- cold path --
-
-struct Cell {
-  CircId circ_id = 0;
-  CellCommand command = CellCommand::kPadding;
-  util::Bytes payload;  // <= kCellPayloadSize; encoded cell pads to full size
-
-  /// Serializes to exactly kCellSize bytes (zero padding).
-  util::Bytes encode() const;
-  static std::optional<Cell> decode(util::BytesView wire);
-};
-
-/// The header+data that lives inside an onion-encrypted RELAY payload.
-struct RelayCell {
-  RelayCommand command = RelayCommand::kData;
-  std::uint16_t recognized = 0;  // 0 once fully decrypted at the right hop
-  StreamId stream_id = 0;
-  std::uint32_t digest = 0;  // rolling-hash check value
-  util::Bytes data;          // <= kRelayDataMax
-
-  /// Serializes to exactly kCellPayloadSize bytes (zero padding), with the
-  /// digest field as currently set (callers zero it before digesting).
-  util::Bytes encode() const;
-  static std::optional<RelayCell> decode(util::BytesView payload);
-};
-
-/// EXTEND2 body carried in RelayCell::data.
+/// EXTEND2 body carried in a relay cell's data.
 struct Extend2 {
   std::uint16_t target_relay = 0;  // consensus index of the next hop
   util::Bytes handshake;

@@ -1,6 +1,7 @@
 #include "tor/ntor.h"
 
 #include "crypto/hmac.h"
+#include "crypto/sha256.h"
 
 namespace ptperf::tor {
 namespace {
@@ -43,7 +44,8 @@ util::Bytes fast_secret(const RelayIdentity& id, util::BytesView client_pub,
   w.raw(client_pub);
   w.raw(server_pub);
   w.raw(util::BytesView(id.onion_public.data(), id.onion_public.size()));
-  return crypto::sha256(w.view());
+  auto digest = crypto::Sha256::digest(w.view());
+  return util::Bytes(digest.begin(), digest.end());
 }
 
 }  // namespace

@@ -25,12 +25,6 @@ class RelayLayer {
   void process_backward(std::span<std::uint8_t> payload) {
     bwd_.process(payload.data(), payload.size());
   }
-  void process_forward(util::Bytes& payload) {
-    process_forward(std::span<std::uint8_t>(payload));
-  }
-  void process_backward(util::Bytes& payload) {
-    process_backward(std::span<std::uint8_t>(payload));
-  }
 
   /// Computes the digest a sender stamps into a relay cell destined for /
   /// originated at this hop, committing the payload into the rolling hash.

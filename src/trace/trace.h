@@ -9,9 +9,8 @@
 // order, exactly like samples, so trace output is byte-identical at any
 // --jobs. Components reach the recorder through their EventLoop
 // (loop.recorder(), nullptr when tracing is off); the TRACE_* macros below
-// null-check and category-check before touching anything, and compile to
-// no-ops entirely under -DPTPERF_TRACE_DISABLED. The macros are the
-// sanctioned instrumentation path in src/ — simlint's raw-instrumentation
+// null-check and category-check before recording anything. The macros are
+// the sanctioned instrumentation path in src/ — simlint's raw-instrumentation
 // rule bans ad-hoc printf/std::cerr telemetry outside src/trace and
 // src/util (see docs/TRACING.md).
 #pragma once
@@ -137,13 +136,8 @@ class Recorder {
 
 // ---------------------------------------------------------------------------
 // Instrumentation macros: the sanctioned path. `rec` is a
-// `trace::Recorder*` (usually `loop.recorder()`), may be null. All
-// arguments after `rec` are evaluated only when tracing is compiled in AND
-// the recorder is attached AND the category is enabled.
-
-#if !defined(PTPERF_TRACE_DISABLED)
-
-#define PTPERF_TRACE_ENABLED 1
+// `trace::Recorder*` (usually `loop.recorder()`), may be null. Nothing is
+// recorded unless the recorder is attached and the category is enabled.
 
 namespace detail {
 inline SpanId begin(Recorder* rec, Category c, std::string name, SpanId parent,
@@ -166,29 +160,7 @@ inline void count(Recorder* rec, std::string_view name, std::uint64_t delta) {
 inline void observe(Recorder* rec, std::string_view name, double value) {
   if (rec) rec->observe(name, value);
 }
-
-/// RAII helper behind TRACE_SPAN for synchronous scopes.
-class ScopedSpan {
- public:
-  ScopedSpan(Recorder* rec, Category c, std::string name, SpanId parent = 0,
-             SpanArgs args = {})
-      : rec_(rec),
-        id_(begin(rec, c, std::move(name), parent, std::move(args))) {}
-  ~ScopedSpan() { end(rec_, id_); }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  SpanId id() const { return id_; }
-
- private:
-  Recorder* rec_;
-  SpanId id_;
-};
 }  // namespace detail
-
-/// Scoped (RAII) span covering the rest of the enclosing block.
-#define TRACE_SPAN(rec, category, ...)                                  \
-  ::ptperf::trace::detail::ScopedSpan trace_scoped_span_##__LINE__(     \
-      (rec), (category), __VA_ARGS__)
 
 /// Manual begin/end for spans crossing callbacks. BEGIN yields a SpanId.
 #define TRACE_SPAN_BEGIN(rec, category, name) \
@@ -213,23 +185,5 @@ class ScopedSpan {
 #define TRACE_OBSERVE(rec, name, value) \
   ::ptperf::trace::detail::observe((rec), (name), (value))
 
-#else  // PTPERF_TRACE_DISABLED: every macro is a constant no-op; no
-       // argument after `rec` is evaluated.
-
-#define TRACE_SPAN(rec, category, ...) ((void)(rec))
-#define TRACE_SPAN_BEGIN(rec, category, name) \
-  ((void)(rec), ::ptperf::trace::SpanId{0})
-#define TRACE_SPAN_BEGIN_UNDER(rec, category, name, parent) \
-  ((void)(rec), ::ptperf::trace::SpanId{0})
-#define TRACE_SPAN_BEGIN_ARGS(rec, category, name, parent, ...) \
-  ((void)(rec), ::ptperf::trace::SpanId{0})
-#define TRACE_SPAN_END(rec, id) ((void)(rec), (void)(id))
-#define TRACE_SPAN_END_ARGS(rec, id, ...) ((void)(rec), (void)(id))
-#define TRACE_INSTANT(rec, category, name) ((void)(rec))
-#define TRACE_INSTANT_ARGS(rec, category, name, ...) ((void)(rec))
-#define TRACE_COUNT(rec, name, delta) ((void)(rec))
-#define TRACE_OBSERVE(rec, name, value) ((void)(rec))
-
-#endif  // PTPERF_TRACE_DISABLED
 
 }  // namespace ptperf::trace

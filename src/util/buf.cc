@@ -74,26 +74,4 @@ BufPool& local_pool() {
   return pool;
 }
 
-std::span<std::uint8_t> Arena::alloc(std::size_t n) {
-  used_ += n;
-  if (used_ > high_water_) high_water_ = used_;
-  while (chunk_index_ < chunks_.size()) {
-    Chunk& c = chunks_[chunk_index_];
-    if (chunk_used_ + n <= c.size) {
-      std::uint8_t* p = c.data.get() + chunk_used_;
-      chunk_used_ += n;
-      return {p, n};
-    }
-    ++chunk_index_;
-    chunk_used_ = 0;
-  }
-  Chunk c;
-  c.size = n > chunk_size_ ? n : chunk_size_;
-  c.data = std::make_unique<std::uint8_t[]>(c.size);
-  chunks_.push_back(std::move(c));
-  chunk_index_ = chunks_.size() - 1;
-  chunk_used_ = n;
-  return {chunks_.back().data.get(), n};
-}
-
 }  // namespace ptperf::util

@@ -1,8 +1,8 @@
 // Zero-copy buffer primitives for the cell pipeline.
 //
 //   Buf      a fixed-capacity, move-only byte buffer. Either a slot leased
-//            from a BufPool or an adopted util::Bytes (the compatibility
-//            path for cold call sites). The data window can shrink
+//            from a BufPool or an adopted util::Bytes (how cold call sites
+//            hand over what a Writer built). The data window can shrink
 //            (resize) and advance (drop_front) without touching the
 //            underlying storage, so a received wire cell can be stripped
 //            of headers and handed on without a single copy.
@@ -15,10 +15,6 @@
 //            pooled buffers never perturb replay determinism. Requests
 //            larger than the slot size fall back to an owned heap buffer
 //            behind the same Buf interface.
-//
-//   Arena    a bump allocator for per-turn scratch: alloc() is pointer
-//            arithmetic, reset() recycles every chunk at once. Nothing
-//            allocated from an Arena may outlive the next reset().
 //
 // Ownership discipline (see docs/PERFORMANCE.md): buffers flow DOWN the
 // stack by move (`Channel::send(Buf)` consumes), views flow UP as
@@ -63,10 +59,6 @@ class Buf {
   }
   ~Buf() { release(); }
 
-  /// Owned deep copy (cold paths that must duplicate a view).
-  static Buf copy_of(BytesView data) {
-    return Buf(Bytes(data.begin(), data.end()));
-  }
   /// Pooled deep copy when it fits the pool's slot size.
   static Buf copy_of(BytesView data, BufPool& pool);
 
@@ -215,49 +207,5 @@ class BufPool {
 /// scenario runs wholly on one shard thread), so every lease is released
 /// on the thread that took it and pools are never shared.
 BufPool& local_pool();
-
-/// Bump allocator for per-turn scratch. alloc() never moves previously
-/// returned spans; reset() recycles all chunks without freeing them.
-class Arena {
- public:
-  explicit Arena(std::size_t chunk_size = 64 * 1024)
-      : chunk_size_(chunk_size) {}
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  /// Uninitialized scratch; valid until the next reset().
-  std::span<std::uint8_t> alloc(std::size_t n);
-
-  /// Zero-initialized scratch; valid until the next reset().
-  std::span<std::uint8_t> alloc_zeroed(std::size_t n) {
-    auto s = alloc(n);
-    std::memset(s.data(), 0, s.size());
-    return s;
-  }
-
-  /// Invalidates every outstanding span; keeps the chunks for reuse.
-  void reset() {
-    chunk_index_ = 0;
-    chunk_used_ = 0;
-    used_ = 0;
-  }
-
-  std::size_t used() const { return used_; }
-  std::size_t high_water() const { return high_water_; }
-  std::size_t chunks() const { return chunks_.size(); }
-
- private:
-  struct Chunk {
-    std::unique_ptr<std::uint8_t[]> data;
-    std::size_t size = 0;
-  };
-
-  std::size_t chunk_size_;
-  std::vector<Chunk> chunks_;
-  std::size_t chunk_index_ = 0;  // chunk currently bump-allocating
-  std::size_t chunk_used_ = 0;   // bytes used in that chunk
-  std::size_t used_ = 0;         // bytes used since last reset
-  std::size_t high_water_ = 0;
-};
 
 }  // namespace ptperf::util

@@ -1,15 +1,10 @@
 // Property tests for the zero-copy buffer layer (src/util/buf.h): pool
-// reuse without aliasing, arena reset safety, move-only handoff, and
-// byte-identity of the encode-into codecs against the legacy owning
-// encoders they replaced on the hot path.
+// reuse without aliasing and the move-only handoff.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
-#include "crypto/aead.h"
-#include "tor/cell.h"
 #include "util/buf.h"
 #include "util/bytes.h"
 
@@ -142,122 +137,6 @@ TEST(Buf, TakeBytesMovesWhenWindowIntactCopiesOtherwise) {
   shrunk.drop_front(1);
   Bytes tail = std::move(shrunk).take_bytes();
   EXPECT_EQ(tail, (Bytes{11, 12, 13}));  // window changed → copy of the window
-}
-
-TEST(Arena, ResetRecyclesChunksWithoutInvalidatingTheAccounting) {
-  Arena arena(64);
-  auto a = arena.alloc(40);
-  auto b = arena.alloc(40);  // spills to a second chunk
-  EXPECT_EQ(arena.chunks(), 2u);
-  EXPECT_EQ(arena.used(), 80u);
-  // Live spans never alias each other.
-  fill_pattern(a, 1);
-  fill_pattern(b, 2);
-  EXPECT_TRUE(has_pattern({a.data(), a.size()}, 1));
-
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_EQ(arena.high_water(), 80u);
-  EXPECT_EQ(arena.chunks(), 2u);  // chunks kept, not freed
-  // Post-reset allocations bump from the start of the retained chunks.
-  auto c = arena.alloc(40);
-  EXPECT_EQ(c.data(), a.data());
-}
-
-TEST(Arena, OversizeAllocationGetsADedicatedChunk)  {
-  Arena arena(64);
-  auto big = arena.alloc(1000);
-  EXPECT_EQ(big.size(), 1000u);
-  EXPECT_EQ(arena.chunks(), 1u);
-  auto zeroed = arena.alloc_zeroed(16);
-  for (std::uint8_t byte : zeroed) EXPECT_EQ(byte, 0);
-}
-
-// --- encode-into == legacy encode, byte for byte -------------------------
-
-TEST(ZeroCopyCodec, EncodeCellIntoMatchesLegacyEncode) {
-  Bytes payload(200);
-  fill_pattern({payload.data(), payload.size()}, 0x33);
-
-  tor::Cell cell;
-  cell.circ_id = 0xDEADBEEF;
-  cell.command = tor::CellCommand::kRelay;
-  cell.payload = payload;
-  Bytes legacy = cell.encode();
-
-  BufPool pool;
-  Buf wire = pool.acquire(tor::kCellSize);
-  ASSERT_TRUE(tor::encode_cell_into(wire.span(), cell.circ_id, cell.command,
-                                    payload));
-  ASSERT_EQ(legacy.size(), wire.size());
-  EXPECT_EQ(0, std::memcmp(legacy.data(), wire.data(), legacy.size()));
-}
-
-TEST(ZeroCopyCodec, EncodeRelayCellIntoMatchesLegacyEncode) {
-  Bytes data(tor::kRelayDataMax);
-  fill_pattern({data.data(), data.size()}, 0x44);
-
-  tor::RelayCell rc;
-  rc.command = tor::RelayCommand::kData;
-  rc.recognized = 0;
-  rc.stream_id = 42;
-  rc.digest = 0xA1B2C3D4;
-  rc.data = data;
-  Bytes legacy = rc.encode();
-
-  BufPool pool;
-  Buf payload = pool.acquire(tor::kCellPayloadSize);
-  ASSERT_TRUE(tor::encode_relay_cell_into(payload.span(), rc.command,
-                                          rc.stream_id, rc.digest, data));
-  ASSERT_EQ(legacy.size(), payload.size());
-  EXPECT_EQ(0, std::memcmp(legacy.data(), payload.data(), legacy.size()));
-
-  // And the view parser round-trips what the owning decoder sees.
-  auto view = tor::parse_relay_cell(payload.view());
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->stream_id, rc.stream_id);
-  EXPECT_EQ(view->digest, rc.digest);
-  EXPECT_EQ(view->data.size(), data.size());
-}
-
-TEST(ZeroCopyCodec, SealInPlaceMatchesAllocatingSeal) {
-  Bytes key(crypto::ChaCha20Poly1305::kKeySize, 0x0F);
-  crypto::ChaCha20Poly1305 aead(key);
-  Bytes aad{9, 8, 7};
-
-  Bytes plaintext(tor::kRelayDataMax);
-  fill_pattern({plaintext.data(), plaintext.size()}, 0x55);
-
-  for (std::uint64_t counter : {std::uint64_t{0}, std::uint64_t{77}}) {
-    Bytes legacy =
-        aead.seal(crypto::counter_nonce(counter), plaintext, aad);
-
-    BufPool pool;
-    Buf buf =
-        pool.acquire(plaintext.size() + crypto::ChaCha20Poly1305::kTagSize);
-    std::memcpy(buf.data(), plaintext.data(), plaintext.size());
-    auto nonce = crypto::counter_nonce_arr(counter);
-    aead.seal_in_place({nonce.data(), nonce.size()}, buf.span(),
-                       plaintext.size(), aad);
-
-    ASSERT_EQ(legacy.size(), buf.size());
-    EXPECT_EQ(0, std::memcmp(legacy.data(), buf.data(), legacy.size()))
-        << "counter " << counter;
-
-    // open_in_place recovers the plaintext and reports its length.
-    auto len = aead.open_in_place({nonce.data(), nonce.size()}, buf.span(),
-                                  aad);
-    ASSERT_TRUE(len.has_value());
-    EXPECT_EQ(*len, plaintext.size());
-    EXPECT_EQ(0, std::memcmp(plaintext.data(), buf.data(), *len));
-
-    // A flipped bit must fail authentication and leave the buffer alone.
-    Buf tampered = Buf::copy_of(legacy, pool);
-    tampered[0] ^= 1;
-    EXPECT_FALSE(aead.open_in_place({nonce.data(), nonce.size()},
-                                    tampered.span(), aad)
-                     .has_value());
-  }
 }
 
 }  // namespace

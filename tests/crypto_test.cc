@@ -3,6 +3,9 @@
 // RFC 7748 (X25519).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -10,6 +13,7 @@
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
 #include "sim/rng.h"
+#include "util/buf.h"
 #include "util/encoding.h"
 
 namespace ptperf::crypto {
@@ -124,12 +128,14 @@ TEST(ChaCha20, Rfc8439Encryption) {
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.";
   ChaCha20 cipher(key, nonce, 1);
-  Bytes ct = cipher.process_copy(to_bytes(plaintext));
+  Bytes ct = to_bytes(plaintext);
+  cipher.process(ct.data(), ct.size());
   EXPECT_EQ(hex_encode(util::BytesView(ct.data(), 16)),
             "6e2e359a2568f98041ba0728dd0d6981");
   // Decrypt restores the plaintext.
   ChaCha20 decipher(key, nonce, 1);
-  EXPECT_EQ(util::to_string(decipher.process_copy(ct)), plaintext);
+  decipher.process(ct.data(), ct.size());
+  EXPECT_EQ(util::to_string(ct), plaintext);
 }
 
 TEST(ChaCha20, StreamContinuity) {
@@ -138,7 +144,8 @@ TEST(ChaCha20, StreamContinuity) {
   Bytes data = rng.bytes(300);
   // One-shot vs split processing must agree (cross-block boundaries).
   ChaCha20 a(key, nonce);
-  Bytes whole = a.process_copy(data);
+  Bytes whole = data;
+  a.process(whole.data(), whole.size());
   ChaCha20 b(key, nonce);
   Bytes part1(data.begin(), data.begin() + 100);
   Bytes part2(data.begin() + 100, data.end());
@@ -207,29 +214,66 @@ TEST(Aead, Rfc8439Vector) {
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.";
   ChaCha20Poly1305 aead(key);
-  Bytes sealed = aead.seal(nonce, to_bytes(plaintext), aad);
-  ASSERT_EQ(sealed.size(), plaintext.size() + 16);
-  // Tag from the RFC.
+  Bytes sealed = to_bytes(plaintext);
+  sealed.resize(plaintext.size() + ChaCha20Poly1305::kTagSize);
+  aead.seal_in_place(nonce, sealed, plaintext.size(), aad);
+  // Ciphertext and tag from the RFC.
+  EXPECT_EQ(hex_encode(util::BytesView(sealed.data(), 16)),
+            "d31a8d34648e60db7b86afbc53ef7ec2");
   EXPECT_EQ(hex_encode(util::BytesView(sealed.data() + plaintext.size(), 16)),
             "1ae10b594f09e26a7e902ecbd0600691");
-  auto opened = aead.open(nonce, sealed, aad);
+  auto opened = aead.open_in_place(nonce, sealed, aad);
   ASSERT_TRUE(opened);
-  EXPECT_EQ(util::to_string(*opened), plaintext);
+  EXPECT_EQ(*opened, plaintext.size());
+  EXPECT_EQ(util::to_string(util::BytesView(sealed.data(), *opened)),
+            plaintext);
+}
+
+// Opens `record` in place and expects a rejection that leaves every byte
+// as it was, so a framing layer that drops a bad record never passes on
+// half-decrypted bytes.
+::testing::AssertionResult rejected_untouched(const ChaCha20Poly1305& aead,
+                                              util::BytesView nonce,
+                                              std::span<std::uint8_t> record,
+                                              util::BytesView aad) {
+  const Bytes before(record.begin(), record.end());
+  if (aead.open_in_place(nonce, record, aad))
+    return ::testing::AssertionFailure() << "tampered record opened";
+  if (!std::equal(record.begin(), record.end(), before.begin()))
+    return ::testing::AssertionFailure() << "rejected open changed the buffer";
+  return ::testing::AssertionSuccess();
 }
 
 TEST(Aead, RejectsTampering) {
   sim::Rng rng(3);
   ChaCha20Poly1305 aead(rng.bytes(32));
-  Bytes nonce = counter_nonce(7);
-  Bytes sealed = aead.seal(nonce, to_bytes("payload"), to_bytes("aad"));
+  const Bytes aad = to_bytes("aad");
+  const Bytes plaintext = rng.bytes(498);  // one full relay cell's data
+  util::BufPool pool;
+  for (std::uint64_t counter : {0u, 7u, 77u}) {
+    auto nonce = counter_nonce_arr(counter);
+    auto next_nonce = counter_nonce_arr(counter + 1);
+    util::BytesView nv(nonce.data(), nonce.size());
+    util::Buf record =
+        pool.acquire(plaintext.size() + ChaCha20Poly1305::kTagSize);
+    std::copy(plaintext.begin(), plaintext.end(), record.begin());
+    aead.seal_in_place(nv, record.span(), plaintext.size(), aad);
 
-  Bytes flipped = sealed;
-  flipped[0] ^= 1;
-  EXPECT_FALSE(aead.open(nonce, flipped, to_bytes("aad")));
-  EXPECT_FALSE(aead.open(counter_nonce(8), sealed, to_bytes("aad")));
-  EXPECT_FALSE(aead.open(nonce, sealed, to_bytes("other-aad")));
-  EXPECT_FALSE(aead.open(nonce, Bytes{1, 2, 3}, {}));  // shorter than a tag
-  EXPECT_TRUE(aead.open(nonce, sealed, to_bytes("aad")));
+    Bytes flipped = record.to_bytes();
+    flipped[0] ^= 1;
+    EXPECT_TRUE(rejected_untouched(aead, nv, flipped, aad));
+    EXPECT_TRUE(rejected_untouched(
+        aead, {next_nonce.data(), next_nonce.size()}, record.span(), aad));
+    EXPECT_TRUE(
+        rejected_untouched(aead, nv, record.span(), to_bytes("other-aad")));
+    Bytes short_record{1, 2, 3};  // shorter than a tag
+    EXPECT_TRUE(rejected_untouched(aead, nv, short_record, {}));
+
+    auto opened = aead.open_in_place(nv, record.span(), aad);
+    ASSERT_TRUE(opened) << "counter " << counter;
+    EXPECT_EQ(*opened, plaintext.size());
+    EXPECT_TRUE(std::equal(plaintext.begin(), plaintext.end(), record.begin()));
+  }
 }
 
 // seal_in_place against RFC 8439 §2.8 composed here from the primitives:
@@ -243,12 +287,14 @@ TEST(Aead, SealInPlaceMatchesRfc8439Composition) {
   for (std::size_t len : {0u, 1u, 63u, 64u, 65u, 191u, 192u, 193u, 498u,
                           514u, 8192u}) {
     for (std::size_t aad_len : {0u, 13u}) {
-      Bytes nonce = counter_nonce(seq++);
+      auto nonce_arr = counter_nonce_arr(seq++);
+      Bytes nonce(nonce_arr.begin(), nonce_arr.end());
       Bytes aad = rng.bytes(aad_len);
       Bytes plaintext = rng.bytes(len);
 
       auto block0 = ChaCha20::block(key, nonce, 0);
-      Bytes expect = ChaCha20(key, nonce, 1).process_copy(plaintext);
+      Bytes expect = plaintext;
+      ChaCha20(key, nonce, 1).process(expect.data(), expect.size());
       Bytes mac_input = aad;
       mac_input.resize((aad.size() + 15) / 16 * 16, 0);
       mac_input.insert(mac_input.end(), expect.begin(), expect.end());

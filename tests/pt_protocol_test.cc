@@ -165,7 +165,7 @@ TEST_F(ProtoFixture, DnsttMultiplexesSessions) {
   int created = 0;
   auto expect_created = [&](net::ChannelPtr& t, tor::CircId id) {
     t->set_receiver([&created, id](util::Buf wire) {
-      auto cell = tor::Cell::decode(wire);
+      auto cell = tor::parse_cell(wire);
       if (cell && cell->command == tor::CellCommand::kCreated2 &&
           cell->circ_id == id) {
         ++created;
@@ -173,11 +173,11 @@ TEST_F(ProtoFixture, DnsttMultiplexesSessions) {
     });
     sim::Rng hs_rng(id);
     auto st = tor::ntor_client_start(hs_rng, scenario->consensus().handshake_mode);
-    tor::Cell create;
-    create.circ_id = id;
-    create.command = tor::CellCommand::kCreate2;
-    create.payload = tor::ntor_client_message(st);
-    t->send(create.encode());
+    util::Buf create = util::local_pool().acquire(tor::kCellSize);
+    ASSERT_TRUE(tor::encode_cell_into(create.span(), id,
+                                      tor::CellCommand::kCreate2,
+                                      tor::ntor_client_message(st)));
+    t->send(std::move(create));
   };
   expect_created(t1, 101);
   expect_created(t2, 202);

@@ -6,9 +6,17 @@
 #include "ptperf/scenario.h"
 #include "tor/cell.h"
 #include "tor/ntor.h"
+#include "util/buf.h"
 
 namespace ptperf::tor {
 namespace {
+
+/// A wire cell in a pooled buffer, encoded the way the client sends one.
+util::Buf wire_cell(CircId id, CellCommand command, util::BytesView payload) {
+  util::Buf wire = util::local_pool().acquire(kCellSize);
+  EXPECT_TRUE(encode_cell_into(wire.span(), id, command, payload));
+  return wire;
+}
 
 struct RelayFixture : ::testing::Test {
   ScenarioConfig cfg;
@@ -45,16 +53,12 @@ TEST_F(RelayFixture, IgnoresGarbageOnLink) {
   // A real CREATE2 still works afterwards.
   sim::Rng rng(1);
   auto st = ntor_client_start(rng, scenario->consensus().handshake_mode);
-  Cell create;
-  create.circ_id = 9;
-  create.command = CellCommand::kCreate2;
-  create.payload = ntor_client_message(st);
   bool created = false;
   link->set_receiver([&](util::Buf wire) {
-    auto cell = Cell::decode(wire);
+    auto cell = parse_cell(wire);
     if (cell && cell->command == CellCommand::kCreated2) created = true;
   });
-  link->send(create.encode());
+  link->send(wire_cell(9, CellCommand::kCreate2, ntor_client_message(st)));
   scenario->loop().run_until_done([&] { return created; });
   EXPECT_TRUE(created);
 }
@@ -64,11 +68,9 @@ TEST_F(RelayFixture, DropsRelayCellsForUnknownCircuit) {
   ASSERT_TRUE(link);
   bool got_anything = false;
   link->set_receiver([&](util::Buf) { got_anything = true; });
-  Cell cell;
-  cell.circ_id = 12345;  // never created
-  cell.command = CellCommand::kRelay;
-  cell.payload = util::Bytes(kCellPayloadSize, 0x42);
-  link->send(cell.encode());
+  link->send(wire_cell(12345,  // never created
+                       CellCommand::kRelay,
+                       util::Bytes(kCellPayloadSize, 0x42)));
   scenario->loop().run_until(scenario->loop().now() + sim::from_seconds(2));
   EXPECT_FALSE(got_anything);
 }
@@ -79,16 +81,12 @@ TEST_F(RelayFixture, MultipleCircuitsPerLink) {
   sim::Rng rng(2);
   int created = 0;
   link->set_receiver([&](util::Buf wire) {
-    auto cell = Cell::decode(wire);
+    auto cell = parse_cell(wire);
     if (cell && cell->command == CellCommand::kCreated2) ++created;
   });
   for (CircId id : {CircId{1}, CircId{2}, CircId{3}}) {
     auto st = ntor_client_start(rng, scenario->consensus().handshake_mode);
-    Cell create;
-    create.circ_id = id;
-    create.command = CellCommand::kCreate2;
-    create.payload = ntor_client_message(st);
-    link->send(create.encode());
+    link->send(wire_cell(id, CellCommand::kCreate2, ntor_client_message(st)));
   }
   scenario->loop().run_until_done([&] { return created == 3; });
   EXPECT_EQ(created, 3);
@@ -104,31 +102,23 @@ TEST_F(RelayFixture, UnrecognizedCellAtLastHopTearsCircuitDown) {
   std::optional<CircuitKeys> keys;
   bool truncated_or_destroyed = false;
   link->set_receiver([&](util::Buf wire) {
-    auto cell = Cell::decode(wire);
+    auto cell = parse_cell(wire);
     if (!cell) return;
     if (cell->command == CellCommand::kCreated2) {
-      util::Bytes reply(cell->payload.begin(), cell->payload.begin() + 48);
       keys = ntor_client_finish(st, scenario->consensus().identity_of(0),
-                                reply);
+                                cell->payload.first(48));
       return;
     }
     // Anything after our junk relay cell counts as the teardown signal
     // (TRUNCATED wrapped in the relay's backward layer, or DESTROY).
     truncated_or_destroyed = true;
   });
-  Cell create;
-  create.circ_id = 4;
-  create.command = CellCommand::kCreate2;
-  create.payload = ntor_client_message(st);
-  link->send(create.encode());
+  link->send(wire_cell(4, CellCommand::kCreate2, ntor_client_message(st)));
   scenario->loop().run_until_done([&] { return keys.has_value(); });
   ASSERT_TRUE(keys);
 
-  Cell junk;
-  junk.circ_id = 4;
-  junk.command = CellCommand::kRelay;
-  junk.payload = sim::Rng(9).bytes(kCellPayloadSize);  // random = unrecognized
-  link->send(junk.encode());
+  link->send(wire_cell(4, CellCommand::kRelay,
+                       sim::Rng(9).bytes(kCellPayloadSize)));  // unrecognized
   scenario->loop().run_until_done([&] { return truncated_or_destroyed; });
   EXPECT_TRUE(truncated_or_destroyed);
 }
@@ -155,19 +145,16 @@ TEST_F(RelayFixture, AcceptChannelServesPtTunnels) {
   auto st = ntor_client_start(rng, scenario->consensus().handshake_mode);
   bool created = false;
   client_end->set_receiver([&](util::Buf wire) {
-    auto cell = Cell::decode(wire);
+    auto cell = parse_cell(wire);
     if (cell && cell->command == CellCommand::kCreated2) {
       auto keys = ntor_client_finish(
           st, scenario->consensus().identity_of(bridge),
-          util::Bytes(cell->payload.begin(), cell->payload.begin() + 48));
+          cell->payload.first(48));
       created = keys.has_value();
     }
   });
-  Cell create;
-  create.circ_id = 7;
-  create.command = CellCommand::kCreate2;
-  create.payload = ntor_client_message(st);
-  client_end->send(create.encode());
+  client_end->send(
+      wire_cell(7, CellCommand::kCreate2, ntor_client_message(st)));
   scenario->loop().run_until_done([&] { return created; });
   EXPECT_TRUE(created);
 }

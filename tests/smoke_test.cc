@@ -2,7 +2,7 @@
 // simulated circuit (SOCKS5 -> 3-hop circuit -> exit -> web server).
 #include <gtest/gtest.h>
 
-#include "ptperf/scenario.h"
+#include "ptperf/transports.h"
 
 namespace ptperf {
 namespace {
@@ -13,7 +13,7 @@ TEST(Smoke, VanillaTorFetchCompletes) {
   cfg.tranco_sites = 5;
   cfg.cbl_sites = 0;
   Scenario scenario(cfg);
-  ClientStack stack = scenario.make_vanilla_stack();
+  PtStack stack = TransportFactory(scenario).create_vanilla();
 
   workload::FetchResult result;
   bool done = false;

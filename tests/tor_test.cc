@@ -3,6 +3,7 @@
 // circuit-level integration through real relays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "crypto/sha256.h"
@@ -11,61 +12,107 @@
 #include "tor/ntor.h"
 #include "tor/onion.h"
 #include "tor/path.h"
+#include "util/buf.h"
 
 namespace ptperf::tor {
 namespace {
 
 TEST(Cell, FixedSizeEncoding) {
-  Cell c;
-  c.circ_id = 0xA1B2C3D4;
-  c.command = CellCommand::kRelay;
-  c.payload = util::to_bytes("small");
-  util::Bytes wire = c.encode();
-  ASSERT_EQ(wire.size(), kCellSize);
-  auto back = Cell::decode(wire);
+  util::Bytes payload = util::to_bytes("small");
+  util::Buf wire = util::local_pool().acquire(kCellSize);
+  ASSERT_TRUE(encode_cell_into(wire.span(), 0xA1B2C3D4, CellCommand::kRelay,
+                               payload));
+  // Big-endian circuit id, then the command, the payload and zero padding.
+  EXPECT_EQ(wire[0], 0xA1);
+  EXPECT_EQ(wire[3], 0xD4);
+  EXPECT_EQ(wire[4], static_cast<std::uint8_t>(CellCommand::kRelay));
+  EXPECT_TRUE(std::all_of(wire.begin() + kCellHeaderSize + payload.size(),
+                          wire.end(), [](std::uint8_t b) { return b == 0; }));
+  auto back = parse_cell(wire);
   ASSERT_TRUE(back);
-  EXPECT_EQ(back->circ_id, c.circ_id);
-  EXPECT_EQ(back->command, c.command);
+  EXPECT_EQ(back->circ_id, 0xA1B2C3D4u);
+  EXPECT_EQ(back->command, CellCommand::kRelay);
   EXPECT_EQ(back->payload.size(), kCellPayloadSize);  // padded
-  EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.end(),
+  EXPECT_EQ(back->payload.data(), wire.data() + kCellHeaderSize);  // a view
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                          back->payload.begin()));
 }
 
 TEST(Cell, DecodeRejectsWrongSize) {
-  EXPECT_FALSE(Cell::decode(util::Bytes(kCellSize - 1)));
-  EXPECT_FALSE(Cell::decode(util::Bytes(kCellSize + 1)));
+  EXPECT_FALSE(parse_cell(util::Bytes(kCellSize - 1)));
+  EXPECT_FALSE(parse_cell(util::Bytes(kCellSize + 1)));
+}
+
+TEST(Cell, EncodeRejectsWrongSizeOutputAndOversizePayload) {
+  for (std::size_t size : {kCellSize - 1, kCellSize + 1}) {
+    util::Bytes out(size);
+    EXPECT_FALSE(encode_cell_into(out, 1, CellCommand::kRelay, {})) << size;
+  }
+  util::Bytes out(kCellSize);
+  EXPECT_FALSE(encode_cell_into(out, 1, CellCommand::kRelay,
+                                util::Bytes(kCellPayloadSize + 1)));
+  EXPECT_TRUE(encode_cell_into(out, 1, CellCommand::kRelay,
+                               util::Bytes(kCellPayloadSize)));
 }
 
 TEST(RelayCellCodec, RoundTripAllFields) {
-  RelayCell rc;
-  rc.command = RelayCommand::kBegin;
-  rc.stream_id = 0xBEEF;
-  rc.digest = 0x01020304;
-  rc.data = util::to_bytes("site0001.tranco:80");
-  util::Bytes payload = rc.encode();
-  ASSERT_EQ(payload.size(), kCellPayloadSize);
-  auto back = RelayCell::decode(payload);
+  util::Bytes data = util::to_bytes("site0001.tranco:80");
+  util::Bytes payload(kCellPayloadSize);
+  ASSERT_TRUE(encode_relay_cell_into(payload, RelayCommand::kBegin, 0xBEEF,
+                                     0x01020304, data));
+  // cmd, recognized(2), stream(2), digest(4), length(2), then the data.
+  EXPECT_EQ(payload[0], static_cast<std::uint8_t>(RelayCommand::kBegin));
+  EXPECT_EQ(payload[kRelayDigestOffset], 0x01);
+  EXPECT_EQ(payload[kRelayDigestOffset + 3], 0x04);
+  EXPECT_EQ(payload[10], data.size());
+  auto back = parse_relay_cell(payload);
   ASSERT_TRUE(back);
   EXPECT_EQ(back->command, RelayCommand::kBegin);
+  EXPECT_EQ(back->recognized, 0);
   EXPECT_EQ(back->stream_id, 0xBEEF);
   EXPECT_EQ(back->digest, 0x01020304u);
-  EXPECT_EQ(back->data, rc.data);
+  EXPECT_TRUE(std::ranges::equal(back->data, data));
 }
 
 TEST(RelayCellCodec, MaxDataFits) {
-  RelayCell rc;
-  rc.data = util::Bytes(kRelayDataMax, 0x7f);
-  util::Bytes payload = rc.encode();
-  ASSERT_EQ(payload.size(), kCellPayloadSize);
-  auto back = RelayCell::decode(payload);
+  util::Bytes data(kRelayDataMax, 0x7f);
+  util::Buf payload = util::local_pool().acquire(kCellPayloadSize);
+  ASSERT_TRUE(encode_relay_cell_into(payload.span(), RelayCommand::kData, 42,
+                                     0xA1B2C3D4, data));
+  auto back = parse_relay_cell(payload);
   ASSERT_TRUE(back);
+  EXPECT_EQ(back->stream_id, 42);
+  EXPECT_EQ(back->digest, 0xA1B2C3D4u);
   EXPECT_EQ(back->data.size(), kRelayDataMax);
+  EXPECT_TRUE(std::ranges::equal(back->data, data));
 }
 
 TEST(RelayCellCodec, OversizeRejected) {
-  RelayCell rc;
-  rc.data = util::Bytes(kRelayDataMax + 1, 0);
-  EXPECT_TRUE(rc.encode().empty());
+  util::Bytes payload(kCellPayloadSize);
+  EXPECT_FALSE(encode_relay_cell_into(payload, RelayCommand::kData, 1, 0,
+                                      util::Bytes(kRelayDataMax + 1, 0)));
+}
+
+TEST(RelayCellCodec, EncodeRejectsWrongSizeOutput) {
+  for (std::size_t size : {kCellPayloadSize - 1, kCellPayloadSize + 1}) {
+    util::Bytes out(size);
+    EXPECT_FALSE(encode_relay_cell_into(out, RelayCommand::kData, 1, 0, {}))
+        << size;
+  }
+}
+
+TEST(RelayCellCodec, ParseRejectsWrongSizeAndOverlongLength) {
+  EXPECT_FALSE(parse_relay_cell(util::Bytes(kCellPayloadSize - 1)));
+  EXPECT_FALSE(parse_relay_cell(util::Bytes(kCellPayloadSize + 1)));
+
+  util::Bytes payload(kCellPayloadSize);
+  ASSERT_TRUE(encode_relay_cell_into(payload, RelayCommand::kData, 1, 0,
+                                     util::Bytes(kRelayDataMax)));
+  ASSERT_TRUE(parse_relay_cell(payload));
+  // A length field one past the data that fits in a cell.
+  payload[9] = static_cast<std::uint8_t>((kRelayDataMax + 1) >> 8);
+  payload[10] = static_cast<std::uint8_t>(kRelayDataMax + 1);
+  EXPECT_FALSE(parse_relay_cell(payload));
 }
 
 TEST(Extend2Codec, RoundTrip) {

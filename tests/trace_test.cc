@@ -195,11 +195,6 @@ const SpanEvent* find_span(const TraceData& data, SpanId id) {
   return nullptr;
 }
 
-// The span-content properties need the instrumentation compiled in; under
-// -DPTPERF_TRACE=OFF the TRACE_* sites are no-ops and traces are empty
-// (the byte-identity and pure-observer tests below still hold there).
-#if defined(PTPERF_TRACE_ENABLED)
-
 TEST(TraceCampaign, SpansAreWellFormedAndNestInsideTheirParents) {
   TracedRun run = run_traced(4242, 1, trace::kAll);
   ASSERT_FALSE(run.traces.empty());
@@ -269,8 +264,6 @@ TEST(TraceCampaign, CompletedCircuitBuildsCarryOneNtorHopPerPathHop) {
   }
   EXPECT_GT(completed, 0u);
 }
-
-#endif  // PTPERF_TRACE_ENABLED
 
 TEST(TraceCampaign, TraceOutputIsByteIdenticalAcrossJobCounts) {
   TracedRun sequential = run_traced(7, 1, trace::kDefault);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ptperf/campaign.h"
-#include "ptperf/scenario.h"
+#include "ptperf/transports.h"
 #include "workload/website.h"
 
 namespace ptperf::workload {
@@ -60,14 +60,14 @@ TEST(FileTargets, StandardSizes) {
 struct WorkloadFixture : ::testing::Test {
   ScenarioConfig cfg;
   std::unique_ptr<Scenario> scenario;
-  ClientStack stack;
+  PtStack stack;
 
   void SetUp() override {
     cfg.seed = 91;
     cfg.tranco_sites = 4;
     cfg.cbl_sites = 2;
     scenario = std::make_unique<Scenario>(cfg);
-    stack = scenario->make_vanilla_stack();
+    stack = TransportFactory(*scenario).create_vanilla();
   }
 };
 

@@ -209,9 +209,10 @@ stats::Table ecdf_table(
     const std::vector<double>& probes, const std::string& value_name);
 
 /// Writes table CSV to <out>/<name>.csv and reports on stdout. The CSV
-/// carries a `#` header comment recording seed, jobs and the end-to-end
-/// wall time so far — run metadata, deliberately outside the byte-identity
-/// contract (strip `#` lines before diffing runs).
+/// carries a `#` header comment recording seed, jobs, the end-to-end wall
+/// time so far and the SHA-256 kernel that produced it — run metadata,
+/// deliberately outside the byte-identity contract (strip `#` lines
+/// before diffing runs).
 void emit(const stats::Table& table, const BenchArgs& args,
           const std::string& name, bool print_text = true);
 

@@ -6,10 +6,6 @@
 // The suite doubles as the repo's perf gate: tools/bench_check.sh runs it
 // with --benchmark_format=json, condenses the output into BENCH_micro.json
 // and compares against bench/baseline.json (see docs/PERFORMANCE.md).
-// BM_CellPipeline and BM_AeadSealOpenInPlace are paired there with the
-// baseline's entries for the allocating codec and AEAD they replaced
-// (BM_CellRoundTrip, BM_AeadSealOpen), so the trajectory records what the
-// buffer discipline bought.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -266,4 +262,15 @@ BENCHMARK(BM_PairedTTest);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() plus the SHA-256 kernel in the run's context, so a
+// JSON run says which kernel its BM_Sha256 numbers came from: they differ
+// several-fold between hosts with and without SHA extensions.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("sha256_kernel",
+                              ptperf::crypto::Sha256::kernel());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

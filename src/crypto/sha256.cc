@@ -3,6 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_kernels.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace ptperf::crypto {
 namespace {
 
@@ -21,7 +27,145 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
+// The scalar FIPS 180-4 rounds: the kernel every host runs, and the
+// reference the hardware kernel is tested against.
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* data, std::size_t blocks) {
+  std::array<std::uint32_t, 8> s = state;
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(data[i * 4]) << 24 |
+             static_cast<std::uint32_t>(data[i * 4 + 1]) << 16 |
+             static_cast<std::uint32_t>(data[i * 4 + 2]) << 8 |
+             data[i * 4 + 3];
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    auto [a, b, c, d, e, f, g, h] = s;
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    s[0] += a;
+    s[1] += b;
+    s[2] += c;
+    s[3] += d;
+    s[4] += e;
+    s[5] += f;
+    s[6] += g;
+    s[7] += h;
+  }
+  state = s;
+}
+
+#if defined(__x86_64__)
+// Intel SHA extensions. sha256rnds2 runs two rounds on the state held as
+// two halves, ABEF and CDGH (highest lane first), taking the two
+// constant-added message words from the low half of its third operand;
+// sha256msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+    std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  auto load = [](const void* p) {
+    return _mm_loadu_si128(static_cast<const __m128i*>(p));
+  };
+
+  __m128i dcba = load(&state[0]);
+  __m128i hgfe = load(&state[4]);
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    // The last four message groups, oldest first: m0 feeds these rounds.
+    __m128i m0 = _mm_shuffle_epi8(load(data), byte_swap);
+    __m128i m1 = _mm_shuffle_epi8(load(data + 16), byte_swap);
+    __m128i m2 = _mm_shuffle_epi8(load(data + 32), byte_swap);
+    __m128i m3 = _mm_shuffle_epi8(load(data + 48), byte_swap);
+    for (int group = 0; group < 16; ++group) {
+      __m128i wk = _mm_add_epi32(m0, load(&kRoundConstants[group * 4]));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]); the last
+      // four groups extend the schedule past W[63] and go unused.
+      __m128i next = _mm_sha256msg1_epu32(m0, m1);
+      next = _mm_add_epi32(next, _mm_alignr_epi8(m3, m2, 4));
+      next = _mm_sha256msg2_epu32(next, m3);
+      m0 = m1;
+      m1 = m2;
+      m2 = m3;
+      m3 = next;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+constexpr detail::Sha256Kernel kKernels[] = {
+    {"portable", compress_portable},
+#if defined(__x86_64__)
+    {"sha-ni", compress_sha_ni},
+#endif
+};
+
+// Every Sha256 compresses through the last kernel the host can run.
+const detail::Sha256Kernel& active_kernel() {
+  return detail::sha256_kernels().back();
+}
+
 }  // namespace
+
+namespace detail {
+
+std::span<const Sha256Kernel> sha256_kernels() {
+  static const std::size_t count = [] {
+#if defined(__x86_64__)
+    // A Sha256 may first run from a static initializer, before the
+    // runtime has probed the CPU on its own.
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+        __builtin_cpu_supports("ssse3"))
+      return std::size(kKernels);
+#endif
+    return std::size_t{1};
+  }();
+  return {kKernels, count};
+}
+
+}  // namespace detail
+
+const char* Sha256::kernel() { return active_kernel().name; }
 
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -30,68 +174,31 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
-           static_cast<std::uint32_t>(block[i * 4 + 1]) << 16 |
-           static_cast<std::uint32_t>(block[i * 4 + 2]) << 8 |
-           block[i * 4 + 3];
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(util::BytesView data) {
+  const auto compress = active_kernel().compress;
   total_len_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
   if (buffer_len_ > 0) {
-    std::size_t need = kBlockSize - buffer_len_;
-    std::size_t chunk = std::min(need, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), chunk);
+    std::size_t chunk = std::min(kBlockSize - buffer_len_, left);
+    std::memcpy(buffer_.data() + buffer_len_, p, chunk);
     buffer_len_ += chunk;
-    offset = chunk;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    p += chunk;
+    left -= chunk;
+    if (buffer_len_ < kBlockSize) return;
+    compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  // Every whole block in one call, so a kernel keeps the state in
+  // registers across a relay payload's eight blocks.
+  if (left >= kBlockSize) {
+    compress(state_, p, left / kBlockSize);
+    p += left / kBlockSize * kBlockSize;
+    left %= kBlockSize;
   }
-  if (offset < data.size()) {
-    buffer_len_ = data.size() - offset;
-    std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
+  if (left > 0) {
+    std::memcpy(buffer_.data(), p, left);
+    buffer_len_ = left;
   }
 }
 

@@ -23,9 +23,11 @@ class Sha256 {
   /// One-shot convenience.
   static std::array<std::uint8_t, kDigestSize> digest(util::BytesView data);
 
- private:
-  void process_block(const std::uint8_t* block);
+  /// Name of the compress kernel this host runs: "sha-ni" on x86-64 with
+  /// SHA extensions, "portable" everywhere else. Digests are identical.
+  static const char* kernel();
 
+ private:
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;
   std::size_t buffer_len_ = 0;

@@ -11,6 +11,7 @@
 #include "crypto/hmac.h"
 #include "crypto/poly1305.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/x25519.h"
 #include "sim/rng.h"
 #include "util/buf.h"
@@ -58,6 +59,72 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(util::BytesView(data.data(), split));
     h.update(util::BytesView(data.data() + split, data.size() - split));
     EXPECT_EQ(h.finalize(), Sha256::digest(data)) << split;
+  }
+}
+
+// SHA-256 of `data` with the FIPS 180-4 padding written out here and
+// every block compressed by `kernel`.
+std::array<std::uint8_t, Sha256::kDigestSize> padded_digest(
+    const detail::Sha256Kernel& kernel, util::BytesView data) {
+  Bytes msg(data.begin(), data.end());
+  msg.push_back(0x80);
+  while (msg.size() % Sha256::kBlockSize != 56) msg.push_back(0);
+  for (int i = 7; i >= 0; --i)
+    msg.push_back(static_cast<std::uint8_t>(data.size() * 8 >> (8 * i)));
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  kernel.compress(state, msg.data(), msg.size() / Sha256::kBlockSize);
+  std::array<std::uint8_t, Sha256::kDigestSize> out{};
+  for (int i = 0; i < 32; ++i)
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return out;
+}
+
+// Every kernel the host runs against the portable one, which the FIPS
+// vectors above pin only when it is the kernel Sha256 runs. Both ends of a
+// circuit hash with the same kernel, so a wrong but self-consistent digest
+// would leave every golden and round trip unchanged; this catches it.
+TEST(Sha256, KernelsMatchPortable) {
+  const auto kernels = detail::sha256_kernels();
+  ASSERT_FALSE(kernels.empty());
+  const detail::Sha256Kernel& portable = kernels.front();
+  ASSERT_STREQ(portable.name, "portable");
+  ASSERT_STREQ(Sha256::kernel(), kernels.back().name);
+  if (kernels.size() == 1)
+    GTEST_SKIP() << "no hardware SHA-256 kernel on this host (x86-64 with "
+                    "the sha, sse4.1 and ssse3 CPU features)";
+
+  sim::Rng rng(16);
+  for (const detail::Sha256Kernel& kernel : kernels.subspan(1)) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t blocks = 1 + rng.next_below(16);
+      const Bytes data = rng.bytes(blocks * Sha256::kBlockSize);
+      std::array<std::uint32_t, 8> state{};
+      for (auto& word : state)
+        word = static_cast<std::uint32_t>(rng.next_u64());
+      auto expect = state;
+      portable.compress(expect, data.data(), blocks);
+      kernel.compress(state, data.data(), blocks);
+      ASSERT_EQ(state, expect) << kernel.name << ", " << blocks << " blocks";
+    }
+  }
+  // Sha256 itself, fed in pieces cut at random points, runs the last
+  // kernel through its buffering and padding.
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const Bytes data = rng.bytes(len);
+    const auto expect = padded_digest(portable, data);
+    for (const detail::Sha256Kernel& kernel : kernels.subspan(1))
+      ASSERT_EQ(padded_digest(kernel, data), expect)
+          << kernel.name << ", length " << len;
+    Sha256 h;
+    std::size_t at = 0;
+    while (at < len) {
+      std::size_t run = 1 + rng.next_below(len - at);
+      h.update(util::BytesView(data.data() + at, run));
+      at += run;
+    }
+    ASSERT_EQ(h.finalize(), expect) << Sha256::kernel() << ", length " << len;
   }
 }
 

@@ -2,22 +2,26 @@
 # Micro-benchmark gate for the zero-copy cell pipeline: runs bench_micro,
 # condenses the google-benchmark JSON to per-benchmark medians, and diffs
 # them against the checked-in bench/baseline.json. A benchmark that got
-# slower than baseline by more than the tolerance band fails the run; a
-# benchmark absent from the baseline is recorded, not gated (new
-# benchmarks enter the baseline deliberately, via --write-baseline).
+# slower than baseline by more than the tolerance band fails the run, and
+# so does a baseline entry missing from the run; a benchmark absent from
+# the baseline is recorded, not gated (new benchmarks enter the baseline
+# deliberately, via --write-baseline).
 #
 #   tools/bench_check.sh [--record] [--out <file>] [--repetitions N]
-#                        [--require-speedup PCT] [--write-baseline]
+#                        [--write-baseline]
+#
+# The run's context (the SHA-256 kernel bench_micro ran, which moves
+# BM_Sha256 several-fold between hosts with and without SHA extensions) is
+# printed first and copied into the condensed run.
 #
 # --record appends the condensed run to bench/BENCH_micro.json (the
 # checked-in perf trajectory; see docs/PERFORMANCE.md) instead of writing
 # the default ./BENCH_micro.json CI artifact. The checked-in file is a
 # per-PR series ("ptperf-bench-series-v1"): one entry per recorded run,
 # labelled by commit, oldest first — a legacy single-run file is wrapped
-# as the series' first entry on the next --record. --require-speedup additionally
-# asserts that every zero-copy/legacy trajectory pair improved on the
-# baseline by at least PCT percent. --write-baseline regenerates
-# bench/baseline.json from this run — review the diff before committing.
+# as the series' first entry on the next --record. --write-baseline
+# regenerates bench/baseline.json from this run — review the diff before
+# committing.
 #
 # Environment: BENCH_BIN (default ./build/bench/bench_micro),
 # BENCH_TOLERANCE (regression band as a fraction, default 0.5 — wide on
@@ -31,18 +35,16 @@ cd "$repo"
 out="BENCH_micro.json"
 series=0
 repetitions=3
-require_speedup=""
 write_baseline=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --record) out="bench/BENCH_micro.json"; series=1; shift ;;
     --out) out="$2"; shift 2 ;;
     --repetitions) repetitions="$2"; shift 2 ;;
-    --require-speedup) require_speedup="$2"; shift 2 ;;
     --write-baseline) write_baseline=1; shift ;;
     *)
       echo "usage: tools/bench_check.sh [--record] [--out <file>]" \
-           "[--repetitions N] [--require-speedup PCT] [--write-baseline]" >&2
+           "[--repetitions N] [--write-baseline]" >&2
       exit 2
       ;;
   esac
@@ -62,15 +64,16 @@ trap 'rm -f "$raw"' EXIT
 label="$(git rev-parse --short HEAD 2>/dev/null || echo unversioned)"
 
 OUT="$out" RAW="$raw" TOL="${BENCH_TOLERANCE:-0.5}" \
-REQUIRE="${require_speedup}" WRITE_BASELINE="$write_baseline" \
-SERIES="$series" LABEL="$label" \
+WRITE_BASELINE="$write_baseline" SERIES="$series" LABEL="$label" \
 python3 - <<'PY'
 import json, os, sys
 
 raw = json.load(open(os.environ["RAW"]))
 tol = float(os.environ["TOL"])
-require = os.environ["REQUIRE"]
 out_path = os.environ["OUT"]
+
+context = {"sha256_kernel": raw["context"].get("sha256_kernel", "unknown")}
+print("context: " + " ".join(f"{k}={v}" for k, v in context.items()))
 
 # Median real_time per benchmark family (repetitions=1 emits no aggregates,
 # so fall back to the single sample).
@@ -101,20 +104,7 @@ for b in raw["benchmarks"]:
 baseline_doc = json.load(open("bench/baseline.json"))
 baseline = baseline_doc["benchmarks"]
 
-# The perf trajectory this refactor claims: zero-copy entry points against
-# the legacy (allocating) baseline benchmarks they displaced on the hot
-# path. The allocating codec and AEAD are gone from the suite, so their
-# entries live on only in the baseline. Onion pairs with itself: the 3-hop
-# layer crypt went in-place under the same benchmark name.
-PAIRS = [
-    ("cell-encode", "BM_CellPipeline", "BM_CellRoundTrip"),
-    ("aead-498", "BM_AeadSealOpenInPlace/498", "BM_AeadSealOpen/498"),
-    ("aead-8192", "BM_AeadSealOpenInPlace/8192", "BM_AeadSealOpen/8192"),
-    ("onion-3hop", "BM_OnionLayer3Hop", "BM_OnionLayer3Hop"),
-]
-
 failures = []
-regressed = []
 for name, entry in sorted(run.items()):
     base = baseline.get(name)
     if base is None:
@@ -124,39 +114,17 @@ for name, entry in sorted(run.items()):
     status = "ok"
     if ratio > 1.0 + tol:
         status = "REGRESSED"
-        regressed.append((name, base["ns"], entry["ns"], ratio))
+        failures.append(f"{name}: {base['ns']:.1f} -> {entry['ns']:.1f} ns (x{ratio:.2f} > 1+{tol})")
     print(f"  {status:9s} {name:42s} {base['ns']:>12.1f} -> {entry['ns']:>12.1f} ns ({(ratio - 1) * 100:+6.1f}%)")
-legacy_names = {legacy for _, _, legacy in PAIRS}
-for name in sorted(set(baseline) - set(run) - legacy_names):
-    print(f"  GONE      {name:42s} (in baseline, not in this run — prune deliberately)")
-
-trajectory = []
-print("\nzero-copy trajectory vs pre-refactor baseline:")
-for label, new_name, legacy_name in PAIRS:
-    new, legacy = run.get(new_name), baseline.get(legacy_name)
-    if new is None or legacy is None:
-        print(f"  {label:12s} missing ({new_name} / {legacy_name})")
-        failures.append(f"trajectory pair {label} missing")
-        continue
-    improvement = (1.0 - new["ns"] / legacy["ns"]) * 100.0
-    trajectory.append({
-        "pair": label,
-        "zero_copy": new_name,
-        "legacy_baseline": legacy_name,
-        "baseline_ns": legacy["ns"],
-        "ns": new["ns"],
-        "improvement_pct": round(improvement, 1),
-    })
-    print(f"  {label:12s} {legacy['ns']:>10.1f} -> {new['ns']:>10.1f} ns  ({improvement:+.1f}%)")
-    if require and improvement < float(require):
-        failures.append(
-            f"trajectory pair {label}: {improvement:.1f}% < required {require}%")
+for name in sorted(set(baseline) - set(run)):
+    print(f"  GONE      {name:42s} (in baseline, not in this run)")
+    failures.append(f"{name}: in baseline, not in this run (prune it from bench/baseline.json deliberately)")
 
 doc = {
     "schema": "ptperf-bench-run-v1",
     "source": "tools/bench_check.sh: bench_micro median real_time per repetition set",
+    "context": context,
     "benchmarks": run,
-    "trajectory": trajectory,
 }
 if os.environ["SERIES"] == "1":
     # The checked-in trajectory is a per-PR series: one condensed entry per
@@ -164,8 +132,8 @@ if os.environ["SERIES"] == "1":
     # series' first entry (labelled "pre-series" — its commit is unknown).
     entry = {
         "label": os.environ["LABEL"],
+        "context": context,
         "benchmarks": run,
-        "trajectory": trajectory,
     }
     runs = []
     if os.path.exists(out_path):
@@ -196,18 +164,13 @@ else:
     print(f"\nwrote {out_path} ({len(run)} benchmarks)")
 
 if os.environ["WRITE_BASELINE"] == "1":
-    # Legacy pair entries have no benchmark left to re-measure them; keep
-    # their recorded medians so the trajectory pairs still resolve.
-    kept = {n: baseline[n] for n in legacy_names - set(run) if n in baseline}
-    baseline_doc["benchmarks"] = {**run, **kept}
+    baseline_doc["benchmarks"] = run
     baseline_doc["source"] = "tools/bench_check.sh --write-baseline"
     with open("bench/baseline.json", "w") as f:
         json.dump(baseline_doc, f, indent=2, sort_keys=True)
         f.write("\n")
     print("rewrote bench/baseline.json — review the diff")
 
-for name, base_ns, ns, ratio in regressed:
-    failures.append(f"{name}: {base_ns:.1f} -> {ns:.1f} ns (x{ratio:.2f} > 1+{tol})")
 if failures:
     print("\nbench_check FAILED:", file=sys.stderr)
     for f_ in failures:

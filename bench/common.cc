@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "crypto/chacha20.h"
 #include "crypto/sha256.h"
 #include "trace/export.h"
 #include "util/strings.h"
@@ -276,7 +277,8 @@ void emit(const stats::Table& table, const BenchArgs& args,
         "seed=" + std::to_string(args.seed) +
         " jobs=" + std::to_string(args.effective_jobs()) +
         " wall_s=" + util::fmt_double(wall_s, 2) +
-        " sha256=" + crypto::Sha256::kernel());
+        " sha256=" + crypto::Sha256::kernel() +
+        " chacha20=" + crypto::ChaCha20::kernel());
   }
   std::string path = args.out_dir + "/" + name + ".csv";
   if (!annotated.write_csv(path)) {

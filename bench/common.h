@@ -210,9 +210,9 @@ stats::Table ecdf_table(
 
 /// Writes table CSV to <out>/<name>.csv and reports on stdout. The CSV
 /// carries a `#` header comment recording seed, jobs, the end-to-end wall
-/// time so far and the SHA-256 kernel that produced it — run metadata,
-/// deliberately outside the byte-identity contract (strip `#` lines
-/// before diffing runs).
+/// time so far and the SHA-256 and ChaCha20 kernels that produced it —
+/// run metadata, deliberately outside the byte-identity contract (strip
+/// `#` lines before diffing runs).
 void emit(const stats::Table& table, const BenchArgs& args,
           const std::string& name, bool print_text = true);
 

@@ -262,14 +262,17 @@ BENCHMARK(BM_PairedTTest);
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus the SHA-256 kernel in the run's context, so a
-// JSON run says which kernel its BM_Sha256 numbers came from: they differ
-// several-fold between hosts with and without SHA extensions.
+// BENCHMARK_MAIN() plus the SHA-256 and ChaCha20 kernels in the run's
+// context, so a JSON run says which kernels its BM_Sha256 and BM_ChaCha20
+// numbers came from: they differ several-fold between hosts with and
+// without SHA extensions, and between 4-, 8- and 16-lane keystreams.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("sha256_kernel",
                               ptperf::crypto::Sha256::kernel());
+  benchmark::AddCustomContext("chacha20_kernel",
+                              ptperf::crypto::ChaCha20::kernel());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

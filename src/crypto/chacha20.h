@@ -19,8 +19,8 @@ class ChaCha20 {
 
   /// XORs the keystream into data in place, continuing from the current
   /// stream position (so successive calls encrypt a contiguous stream).
-  /// The keystream is generated four blocks at a time; the block counter
-  /// wraps at 2^32 as in RFC 8439.
+  /// The keystream is generated 4, 8 or 16 blocks at a time, as wide as
+  /// the host's kernel; the block counter wraps at 2^32 as in RFC 8439.
   void process(std::uint8_t* data, std::size_t len);
 
   /// Produces one 64-byte keystream block for the given counter with the
@@ -30,14 +30,20 @@ class ChaCha20 {
                                             util::BytesView nonce,
                                             std::uint32_t counter);
 
+  /// Name of the keystream kernel this host runs: "avx512" or "avx2" on
+  /// x86-64 with those CPU features, "portable" everywhere else. The
+  /// keystream is identical.
+  static const char* kernel();
+
  private:
-  static constexpr std::size_t kBatchSize = 4 * 64;
+  static constexpr std::size_t kMaxBatchSize = 16 * 64;
 
   void refill();
 
   std::array<std::uint32_t, 16> state_;
-  std::array<std::uint8_t, kBatchSize> keystream_;
-  std::size_t keystream_pos_ = kBatchSize;  // empty
+  std::array<std::uint8_t, kMaxBatchSize> keystream_;
+  std::size_t keystream_pos_ = 0;
+  std::size_t keystream_len_ = 0;  // bytes the last batch filled
 };
 
 }  // namespace ptperf::crypto

@@ -8,6 +8,7 @@
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/chacha20_kernels.h"
 #include "crypto/hmac.h"
 #include "crypto/poly1305.h"
 #include "crypto/sha256.h"
@@ -224,15 +225,16 @@ TEST(ChaCha20, StreamContinuity) {
 
 // The batched keystream against the single-block reference: zeros through
 // the stream, cut at random points, must read back block(c), block(c + 1),
-// ... with the 32-bit counter wrapping inside a batch at 0xFFFFFFFD. Both
-// ends of every circuit run the same cipher, so round trips cannot catch a
-// wrong but self-consistent keystream; this can.
+// ... with batch edges and the 32-bit counter wrap (from 0xFFFFFFFD and
+// 0xFFFFFFF5) falling inside 4-, 8- and 16-block batches. Both ends of
+// every circuit run the same cipher, so round trips cannot catch a wrong
+// but self-consistent keystream; this can.
 TEST(ChaCha20, StreamMatchesReferenceBlocks) {
   sim::Rng rng(11);
   Bytes key = rng.bytes(32), nonce = rng.bytes(12);
-  for (std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu}) {
-    for (std::size_t len : {1u, 63u, 64u, 255u, 256u, 257u, 509u, 1000u,
-                            4096u}) {
+  for (std::uint32_t counter : {0u, 1u, 0xFFFFFFFDu, 0xFFFFFFF5u}) {
+    for (std::size_t len : {1u, 63u, 64u, 255u, 256u, 257u, 509u, 511u, 512u,
+                            513u, 1000u, 1023u, 1024u, 1025u, 2049u, 4096u}) {
       Bytes expect;
       for (std::uint32_t i = 0; expect.size() < len; ++i) {
         auto block = ChaCha20::block(key, nonce, counter + i);
@@ -249,6 +251,54 @@ TEST(ChaCha20, StreamMatchesReferenceBlocks) {
         at += run;
       }
       EXPECT_EQ(got, expect) << "counter " << counter << ", length " << len;
+    }
+  }
+}
+
+// Every kernel the host runs, portable included, against the scalar
+// reference block. The stream test above exercises only the kernel
+// ChaCha20 runs, the widest; this is the one check on the narrower ones,
+// so it never skips. Counters near 2^32 put the wrap on every lane.
+TEST(ChaCha20, KernelsMatchReference) {
+  const auto kernels = detail::chacha20_kernels();
+  ASSERT_FALSE(kernels.empty());
+  ASSERT_STREQ(kernels.front().name, "portable");
+  ASSERT_STREQ(ChaCha20::kernel(), kernels.back().name);
+
+  sim::Rng rng(19);
+  for (const detail::ChaCha20Kernel& kernel : kernels) {
+    ASSERT_LE(kernel.blocks, 16u) << kernel.name;
+    for (int trial = 0; trial < 200; ++trial) {
+      const Bytes key = rng.bytes(ChaCha20::kKeySize);
+      const Bytes nonce = rng.bytes(ChaCha20::kNonceSize);
+      // Odd trials start 0 to 15 blocks short of the wrap, in turn.
+      const std::uint32_t counter =
+          trial % 2 == 0
+              ? static_cast<std::uint32_t>(rng.next_u64())
+              : 0xFFFFFFFFu - static_cast<std::uint32_t>(trial / 2 % 16);
+      // RFC 8439 §2.3: constants, key, block counter, nonce.
+      std::array<std::uint32_t, 16> state = {0x61707865, 0x3320646e,
+                                             0x79622d32, 0x6b206574};
+      auto word = [](const std::uint8_t* p) {
+        return static_cast<std::uint32_t>(p[0]) |
+               static_cast<std::uint32_t>(p[1]) << 8 |
+               static_cast<std::uint32_t>(p[2]) << 16 |
+               static_cast<std::uint32_t>(p[3]) << 24;
+      };
+      for (int i = 0; i < 8; ++i) state[4 + i] = word(key.data() + i * 4);
+      state[12] = counter;
+      for (int i = 0; i < 3; ++i) state[13 + i] = word(nonce.data() + i * 4);
+
+      std::array<std::uint8_t, 16 * 64> out{};
+      kernel.generate(state, out.data());
+      for (std::size_t b = 0; b < kernel.blocks; ++b) {
+        const std::uint32_t block_counter =
+            counter + static_cast<std::uint32_t>(b);
+        const auto expect = ChaCha20::block(key, nonce, block_counter);
+        ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                               out.begin() + b * 64))
+            << kernel.name << ", counter " << counter << ", block " << b;
+      }
     }
   }
 }

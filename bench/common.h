@@ -2,8 +2,9 @@
 // (--seed, --scale, --sites, --reps, --jobs, --out), stack creation, and
 // the table renderers every bench uses. Each bench prints the paper's rows
 // to stdout and mirrors them to CSV files under --out (default: cwd).
-// Campaign-driven benches run on the sharded engine (ptperf/parallel.h):
-// --jobs N spreads shards over N threads with byte-identical output.
+// Campaign-driven benches run through the ensemble layer
+// (ptperf/ensemble.h) on the sharded engine: --jobs N spreads shards over
+// N threads with byte-identical output.
 #pragma once
 
 #include <cstdint>
@@ -96,14 +97,14 @@ int scaled_int(int base, double scale, int min_value = 1);
 void banner(const std::string& id, const std::string& what,
             const BenchArgs& args);
 
-/// The campaign entry point every figure goes through (simlint's
-/// ensemble-bypass rule bans direct ShardedCampaign construction in bench/
-/// outside this harness): a base world recipe prefilled from the CLI args
-/// (seed, jobs, trace categories) plus --repeats, with the snapshot store
-/// for `figure` attached when --checkpoint was given. Figures then tweak
-/// `.base` (site counts, fault plans). Building the store validates any
-/// resumed snapshot against run_fingerprint(args, figure); a mismatch
-/// prints the offending field and exits 2.
+/// The campaign entry point every figure goes through (EnsembleCampaign is
+/// the only way to start a sharded campaign): a base world recipe
+/// prefilled from the CLI args (seed, jobs, trace categories) plus
+/// --repeats, with the snapshot store for `figure` attached when
+/// --checkpoint was given. Figures then tweak `.base` (site counts, fault
+/// plans). Building the store validates any resumed snapshot against
+/// run_fingerprint(args, figure); a mismatch prints the offending field
+/// and exits 2.
 EnsembleCampaignConfig ensemble_config(const BenchArgs& args,
                                        const std::string& figure);
 

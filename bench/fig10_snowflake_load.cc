@@ -8,10 +8,10 @@
 // companion check (5 MB downloads mostly fail post-surge) runs at the
 // post-surge utilization.
 //
-// Runs on the sharded engine: cohorts shard across the pool (jobs-
-// independent, merged in plan order), and each load regime is its own
-// campaign whose configure_stack hook applies the emergent utilization
-// through population::apply_snowflake before any measurement starts.
+// The fleet simulates on one thread (population::PopulationModel, seeded
+// from --seed); each load regime is its own ensemble campaign whose
+// configure_stack hook applies the emergent utilization through
+// population::apply_snowflake before any measurement starts.
 #include "population/contention.h"
 
 #include "common.h"
@@ -56,13 +56,11 @@ int run(const BenchArgs& args) {
   cfg.campaign.website_reps = 3;
   SiteSelection sites{cfg.scenario.tranco_sites, 0};
 
-  // -- Population engine: simulate the user fleets, cohorts sharded over
-  // --jobs and merged in plan order. Repetition 0 rides the base seed.
+  // -- Population engine: simulate the user fleets on the campaign's seed.
   population::IranSurge surge = population::iran_surge(12);
-  EnsembleCampaign pop_engine(ecfg);
-  std::vector<population::Trajectory> trajectories =
-      pop_engine.run_population(surge.pop);
-  const population::Trajectory& traj = trajectories.front();
+  population::PopulationConfig pcfg = surge.pop;
+  pcfg.seed = args.seed;
+  population::Trajectory traj = population::PopulationModel(pcfg).simulate();
 
   // -- Figure 10a: the emergent load timeline, weekly aggregates of the
   // trajectory run through the contention curves (anchor constants from

@@ -51,11 +51,6 @@ sim::Duration Pipe::base_rtt() const {
   return 2 * (state_->one_way + state_->options.extra_one_way);
 }
 
-HostId Pipe::local_host() const { return state_ ? state_->host[side_] : 0; }
-HostId Pipe::remote_host() const {
-  return state_ ? state_->host[1 - side_] : 0;
-}
-
 // ------------------------------------------------------------- Network --
 
 Network::Network(sim::EventLoop& loop, sim::Rng rng, Topology topology)

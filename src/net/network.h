@@ -106,9 +106,6 @@ class Pipe {
   /// Base round-trip time of this pipe (propagation only).
   sim::Duration base_rtt() const;
 
-  HostId local_host() const;
-  HostId remote_host() const;
-
  private:
   friend class Network;
   struct ConnState;

@@ -1,7 +1,5 @@
 #include "net/topology.h"
 
-#include <stdexcept>
-
 namespace ptperf::net {
 namespace {
 
@@ -9,27 +7,9 @@ constexpr std::size_t idx(Region r) { return static_cast<std::size_t>(r); }
 
 }  // namespace
 
-std::string_view region_name(Region r) {
-  switch (r) {
-    case Region::kBangalore: return "Bangalore";
-    case Region::kSingapore: return "Singapore";
-    case Region::kLondon: return "London";
-    case Region::kFrankfurt: return "Frankfurt";
-    case Region::kNewYork: return "NewYork";
-    case Region::kToronto: return "Toronto";
-    case Region::kEuropeWest: return "EuropeWest";
-    case Region::kEuropeEast: return "EuropeEast";
-    case Region::kUsEast: return "UsEast";
-    case Region::kUsWest: return "UsWest";
-  }
-  throw std::invalid_argument("unknown region");
-}
-
 Topology::Topology() {
   // Representative inter-region RTTs (ms), informed by public cloud latency
   // matrices. Symmetric; diagonal is intra-region.
-  constexpr double kInf = 0;  // placeholder, overwritten below
-  (void)kInf;
   auto& m = rtt_ms_;
   auto set = [&m](Region a, Region b, double ms) {
     m[idx(a)][idx(b)] = ms;

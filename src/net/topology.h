@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "sim/time.h"
 
@@ -26,8 +25,6 @@ enum class Region : std::uint8_t {
 };
 
 inline constexpr std::size_t kRegionCount = 10;
-
-std::string_view region_name(Region r);
 
 class Topology {
  public:

@@ -3,10 +3,9 @@
 // fleet) draws Poisson arrivals whose rate carries diurnal modulation, a
 // per-country adoption weight, and censorship-event surge episodes;
 // session departures are binomial thinning of the active count. Every
-// cohort samples from its own Rng::fork("population/<name>") stream, so
-// cohort trajectories are jobs-independent shards that merge in plan order
-// with plain u64 addition — byte-identical at any --jobs, exactly like the
-// campaign engine's shards (docs/POPULATION.md).
+// cohort samples from its own Rng::fork("population/<name>") stream, so a
+// cohort's trajectory depends only on (seed, name), and cohorts merge with
+// plain u64 addition in any order (docs/POPULATION.md).
 //
 // The emergent active-session trajectory drives ContendedResources
 // (net/resource.h) through the contention curves in contention.h; fig10
@@ -53,9 +52,8 @@ struct SurgeEpisode {
 };
 
 struct PopulationConfig {
-  /// Base seed of the fleet; the campaign engine overrides this with the
-  /// campaign's (repetition's) scenario seed so the population rides the
-  /// same seed tree as everything else.
+  /// Base seed of the fleet; fig10 and fig12 set it to --seed so the
+  /// population rides the same seed tree as the measured worlds.
   std::uint64_t seed = 1;
   double horizon_hours = 24.0 * 7;
   double step_minutes = 60.0;
@@ -74,7 +72,7 @@ struct CohortTrajectory {
 
 /// The fleet-wide series: element-wise u64 sums over cohorts. Integer
 /// addition is associative and commutative, so the merge is exactly
-/// order-invariant — the determinism anchor for cohort sharding.
+/// order-invariant.
 struct Trajectory {
   double step_minutes = 60.0;
   std::vector<std::uint64_t> arrivals;
@@ -104,7 +102,7 @@ class PopulationModel {
   double surge_multiplier(double t_hours) const;
 
   /// Samples one cohort's trajectory from its private stream. Pure
-  /// function of (seed, config, index): the unit of cohort sharding.
+  /// function of (seed, config, index).
   CohortTrajectory simulate_cohort(std::size_t index) const;
 
   /// All cohorts in index order, merged. Equal to merging

@@ -158,7 +158,6 @@ void SegmentingChannel::send(util::Buf payload) {
   // so many small tunnel messages (cells) share one wire unit — the way a
   // real cover-channel encoder batches pending data.
   outbox_.insert(outbox_.end(), framed.begin(), framed.end());
-  backlog_bytes_ = outbox_.size();
   pump();
 }
 
@@ -179,7 +178,6 @@ void SegmentingChannel::pump() {
                         self->outbox_.begin() + static_cast<long>(n));
     self->outbox_.erase(self->outbox_.begin(),
                         self->outbox_.begin() + static_cast<long>(n));
-    self->backlog_bytes_ = self->outbox_.size();
     if (self->policy_.accounting) {
       FramedStreamMeter::Cut cut = self->meter_.consume(n);
       self->policy_.accounting->on_frame(

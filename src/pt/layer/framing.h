@@ -109,9 +109,6 @@ class SegmentingChannel final
   void close() override;
   sim::Duration base_rtt() const override;
 
-  /// Tunnel payload bytes queued but not yet on the wire (tests).
-  std::size_t backlog() const { return backlog_bytes_; }
-
  private:
   SegmentingChannel(sim::EventLoop& loop, net::ChannelPtr inner,
                     SegmentPolicy policy);
@@ -126,7 +123,6 @@ class SegmentingChannel final
   Receiver receiver_;
   CloseHandler close_handler_;
   util::Bytes outbox_;  // framed stream bytes awaiting unit cutting
-  std::size_t backlog_bytes_ = 0;
   sim::TimePoint next_send_{};
   bool pump_scheduled_ = false;
   bool closed_ = false;

@@ -49,20 +49,20 @@ EnsembleCampaign::EnsembleCampaign(EnsembleCampaignConfig cfg)
 
 std::uint64_t EnsembleCampaign::total_injected_faults() const {
   std::uint64_t total = 0;
-  for (std::uint64_t c : fault_counts_) total += c;
+  for (std::uint64_t c : ledger_.faults) total += c;
   return total;
 }
 
-/// Runs `run(engine)` once per repetition, each against a ShardedCampaign
-/// whose scenario seed is the repetition's fork, and returns the results in
-/// repetition order. Repetitions execute in order; each one parallelizes
-/// internally over base.jobs, so wall time scales like repeats x (single
-/// campaign) while every repetition stays individually jobs-independent.
-template <typename Result, typename Run>
-std::vector<Result> EnsembleCampaign::run_reps(const Run& run) {
-  std::vector<Result> out;
+/// Repetitions execute in order; each one parallelizes internally over
+/// base.jobs, so wall time scales like repeats x (single campaign) while
+/// every repetition stays individually jobs-independent.
+template <typename Sample>
+EnsembleRuns<Sample> EnsembleCampaign::run_sharded(
+    const std::vector<std::optional<PtId>>& pts, std::size_t item_count,
+    const ShardedCampaign::ShardBody<Sample>& body) {
+  EnsembleRuns<Sample> runs;
   int n = repeats();
-  out.reserve(static_cast<std::size_t>(n));
+  runs.reps.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     ShardedCampaignConfig sc = cfg_.base;
     sc.scenario.seed = repeat_seed(cfg_.base.scenario.seed, r);
@@ -70,26 +70,10 @@ std::vector<Result> EnsembleCampaign::run_reps(const Run& run) {
     // is what --trace wrote before the ensemble layer existed, and extra
     // repetitions never grow (or reorder) the capture.
     if (r > 0) sc.trace_categories = 0;
-    ShardedCampaign engine(sc);
-    out.push_back(run(engine));
-    for (const ShardTiming& t : engine.timings()) timings_.push_back(t);
-    if (r == 0) {
-      for (const trace::ShardTrace& tr : engine.traces())
-        traces_.push_back(tr);
-    }
-    for (std::size_t k = 0; k < fault_counts_.size(); ++k)
-      fault_counts_[k] += engine.injected_faults(static_cast<fault::FaultKind>(k));
+    ShardedCampaign engine(std::move(sc), ledger_);
+    runs.reps.push_back(engine.run<Sample>(pts, item_count, body));
   }
-  return out;
-}
-
-template <typename Sample>
-EnsembleRuns<Sample> EnsembleCampaign::run_sharded(
-    const std::vector<std::optional<PtId>>& pts, std::size_t item_count,
-    const ShardedCampaign::ShardBody<Sample>& body) {
-  return {run_reps<std::vector<Sample>>([&](ShardedCampaign& engine) {
-    return engine.run<Sample>(pts, item_count, body);
-  })};
+  return runs;
 }
 
 namespace {
@@ -244,12 +228,6 @@ EnsembleRuns<OverheadSample> EnsembleCampaign::run_overhead(
         return measure_overhead(shard_sites(spec, scenario, sites), scenario,
                                 stack, cfg_.base.factory);
       });
-}
-
-std::vector<population::Trajectory> EnsembleCampaign::run_population(
-    const population::PopulationConfig& pcfg) {
-  return run_reps<population::Trajectory>(
-      [&](ShardedCampaign& engine) { return engine.run_population(pcfg); });
 }
 
 }  // namespace ptperf

@@ -3,17 +3,18 @@
 // estimates. One seed per figure is exactly the methodological trap Jansen
 // et al. ("Once is Never Enough", PAPERS.md) identify in Tor measurement:
 // conclusions drawn from a single trial routinely invert under resampling.
-// An EnsembleCampaign replays the whole ShardedCampaign `repeats` times,
+// An EnsembleCampaign replays the whole sharded campaign `repeats` times,
 // each repetition in an independently sampled world — network AND corpus
 // seeds forked via Rng::fork("repeat/<r>") — so every repetition is itself
 // jobs-independent and individually reproducible, and the ensemble is a
 // pure function of (base seed, repeats, plan). Repetition 0 runs on the
 // base seed unchanged, which makes --repeats 1 byte-identical to a plain
-// sharded run. See docs/STATISTICS.md for the seed-forking scheme, the
-// estimator merge math, and how to read the CI / paired-power columns.
+// sharded run. It is the only way to start a sharded campaign:
+// ShardedCampaign (parallel.h) is its private per-repetition runner. See
+// docs/STATISTICS.md for the seed-forking scheme, the estimator merge
+// math, and how to read the CI / paired-power columns.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -77,12 +78,12 @@ struct EnsembleCampaignConfig {
   /// sampled synthetic web — repetitions resample the corpus, not just
   /// the network, exactly like independent real-world trials.
   ShardedCampaignConfig base;
-  /// Independent repetitions; 1 = a plain sharded campaign, byte-identical
-  /// to constructing ShardedCampaign(base) directly.
+  /// Independent repetitions; 1 = a plain sharded campaign on the base
+  /// seed.
   int repeats = 1;
 };
 
-/// Front end over ShardedCampaign for the paper's campaign types: each
+/// Front end over the sharded engine for the paper's campaign types: each
 /// named method knows its kind's work items and per-shard body, and runs
 /// it N times in independently seeded worlds, accumulating per-repetition
 /// results. Timings and injected-fault counters aggregate over all
@@ -111,43 +112,34 @@ class EnsembleCampaign {
   EnsembleRuns<OverheadSample> run_overhead(const std::vector<PtId>& pts,
                                             const SiteSelection& sites);
 
-  /// Population-driven mode: one fleet trajectory per repetition, each on
-  /// the repetition's forked seed (repetition 0 = the base seed, the
-  /// --repeats 1 byte-identity contract). reps[r] is jobs-independent —
-  /// cohort shards merge in plan order inside each repetition.
-  std::vector<population::Trajectory> run_population(
-      const population::PopulationConfig& pcfg);
-
-  const EnsembleCampaignConfig& config() const { return cfg_; }
   int repeats() const { return cfg_.repeats < 1 ? 1 : cfg_.repeats; }
 
   /// Per-shard timings over every repetition, in (repetition, plan) order.
-  const std::vector<ShardTiming>& timings() const { return timings_; }
+  const std::vector<ShardTiming>& timings() const { return ledger_.timings; }
 
   /// Repetition 0's flight-recorder captures (empty unless
   /// base.trace_categories is nonzero).
-  const std::vector<trace::ShardTrace>& traces() const { return traces_; }
+  const std::vector<trace::ShardTrace>& traces() const {
+    return ledger_.traces;
+  }
 
   /// Injected-fault counters summed over every repetition's shards.
   std::uint64_t injected_faults(fault::FaultKind kind) const {
-    return fault_counts_[static_cast<std::size_t>(kind)];
+    return ledger_.faults[static_cast<std::size_t>(kind)];
   }
   std::uint64_t total_injected_faults() const;
 
  private:
-  template <typename Result, typename Run>
-  std::vector<Result> run_reps(const Run& run);
-
+  /// Runs `body` in every shard of every repetition, each repetition on a
+  /// ShardedCampaign whose scenario seed is the repetition's fork, and
+  /// returns the samples in repetition order.
   template <typename Sample>
   EnsembleRuns<Sample> run_sharded(
       const std::vector<std::optional<PtId>>& pts, std::size_t item_count,
       const ShardedCampaign::ShardBody<Sample>& body);
 
   EnsembleCampaignConfig cfg_;
-  std::vector<ShardTiming> timings_;
-  std::vector<trace::ShardTrace> traces_;
-  std::array<std::uint64_t, static_cast<std::size_t>(fault::FaultKind::kCount_)>
-      fault_counts_{};
+  ShardedCampaign::Ledger ledger_;
 };
 
 }  // namespace ptperf

@@ -86,8 +86,8 @@ void ParallelExecutor::for_each(std::size_t n,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ShardedCampaign::ShardedCampaign(ShardedCampaignConfig cfg)
-    : cfg_(std::move(cfg)) {}
+ShardedCampaign::ShardedCampaign(ShardedCampaignConfig cfg, Ledger& ledger)
+    : cfg_(std::move(cfg)), ledger_(ledger) {}
 
 std::vector<std::optional<PtId>> ShardedCampaign::with_vanilla(
     const std::vector<PtId>& pts) {
@@ -98,17 +98,11 @@ std::vector<std::optional<PtId>> ShardedCampaign::with_vanilla(
   return out;
 }
 
-std::uint64_t ShardedCampaign::total_injected_faults() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : fault_counts_) total += c;
-  return total;
-}
-
 /// Runs `body(spec, scenario, campaign, stack)` for every shard of the
-/// plan across the pool, then merges per-shard samples, timings and fault
-/// counters strictly in plan order. Every mutable slot is indexed by the
-/// shard's plan position and touched by exactly one task; the pool join is
-/// the only synchronization the merge needs.
+/// plan across the pool, then merges per-shard samples, timings, traces
+/// and fault counters strictly in plan order. Every mutable slot is
+/// indexed by the shard's plan position and touched by exactly one task;
+/// the pool join is the only synchronization the merge needs.
 ///
 /// With a checkpoint store attached, shards the snapshot already holds are
 /// decoded straight into their merge slots and never re-run; freshly
@@ -208,13 +202,14 @@ std::vector<Sample> ShardedCampaign::run(
   for (std::vector<Sample>& xs : per_shard) {
     for (Sample& s : xs) merged.push_back(std::move(s));
   }
-  for (ShardTiming& t : timings) timings_.push_back(std::move(t));
+  for (ShardTiming& t : timings) ledger_.timings.push_back(std::move(t));
   if (cfg_.trace_categories != 0) {
-    for (trace::ShardTrace& tr : traces) traces_.push_back(std::move(tr));
+    for (trace::ShardTrace& tr : traces)
+      ledger_.traces.push_back(std::move(tr));
   }
   for (const auto& shard_counts : faults) {
     for (std::size_t k = 0; k < kFaultKinds; ++k)
-      fault_counts_[k] += shard_counts[k];
+      ledger_.faults[k] += shard_counts[k];
   }
   return merged;
 }
@@ -235,34 +230,5 @@ template std::vector<ReliabilitySample> ShardedCampaign::run(
 template std::vector<OverheadSample> ShardedCampaign::run(
     const std::vector<std::optional<PtId>>&, std::size_t,
     const ShardBody<OverheadSample>&);
-
-population::Trajectory ShardedCampaign::run_population(
-    population::PopulationConfig pcfg) {
-  // The fleet rides the campaign's seed tree: the same --seed that drives
-  // the measured worlds drives the demand that loads them.
-  pcfg.seed = cfg_.scenario.seed;
-  population::PopulationModel model(std::move(pcfg));
-
-  std::size_t n = model.cohort_count();
-  std::vector<population::CohortTrajectory> per_cohort(n);
-  std::vector<ShardTiming> timings(n);
-
-  ParallelExecutor executor(cfg_.jobs);
-  executor.for_each(n, [&](std::size_t i) {
-    std::int64_t wall_start = sim::wall_now_us();
-    per_cohort[i] = model.simulate_cohort(i);
-
-    ShardTiming t;
-    t.shard = i;
-    t.pt = "population/" + per_cohort[i].cohort;
-    t.items = per_cohort[i].active.size();
-    t.virtual_seconds = model.config().horizon_hours * 3600.0;
-    t.wall_us = sim::wall_now_us() - wall_start;
-    timings[i] = std::move(t);
-  });
-
-  for (ShardTiming& t : timings) timings_.push_back(std::move(t));
-  return population::PopulationModel::merge(model.config(), per_cohort);
-}
 
 }  // namespace ptperf

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "population/population.h"
 #include "ptperf/campaign.h"
 
 namespace ptperf {
@@ -135,14 +134,23 @@ struct ShardedCampaignConfig {
   std::shared_ptr<checkpoint::Store> checkpoint;
 };
 
-/// The sharded engine. It knows nothing about measurement kinds: run()
-/// takes a work-item count and the body that measures one shard's slice
-/// (the paper's kinds live in ensemble.cc), and the engine owns the world
-/// recipe, the pool, the checkpoint store, and the plan-order merge of
-/// samples, per-shard timings, traces and injected-fault counters.
+/// The sharded engine: one repetition of a campaign, and the private
+/// runner of EnsembleCampaign (ensemble.h), which is the only way to start
+/// one. It knows nothing about measurement kinds: run() takes a work-item
+/// count and the body that measures one shard's slice (the paper's kinds
+/// live in ensemble.cc), and the engine owns the world recipe, the pool,
+/// the checkpoint store, and the plan-order merge. Samples are returned;
+/// per-shard timings, traces and injected-fault counters go straight into
+/// the owning ensemble's ledger.
 class ShardedCampaign {
  public:
-  explicit ShardedCampaign(ShardedCampaignConfig cfg);
+  /// The campaign's PT list as plan input: vanilla Tor first, then `pts`
+  /// (the bench convention).
+  static std::vector<std::optional<PtId>> with_vanilla(
+      const std::vector<PtId>& pts);
+
+ private:
+  friend class EnsembleCampaign;
 
   /// What one shard measures: its slice [spec.item_begin, spec.item_end)
   /// of the campaign's work items, in the shard's private world (its own
@@ -152,54 +160,30 @@ class ShardedCampaign {
       const ShardSpec& spec, Scenario& scenario, Campaign& campaign,
       PtStack& stack)>;
 
+  /// Everything a run reports besides its samples, appended in (run, plan)
+  /// order. Traces are appended only when cfg.trace_categories is nonzero.
+  struct Ledger {
+    std::vector<ShardTiming> timings;
+    std::vector<trace::ShardTrace> traces;
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(fault::FaultKind::kCount_)>
+        faults{};
+  };
+
+  ShardedCampaign(ShardedCampaignConfig cfg, Ledger& ledger);
+
   /// Plans one shard per PT x chunk of `item_count` work items, runs
-  /// `body` in every shard across the pool, and merges the samples,
-  /// timings, traces and fault counters in plan order. Sample is any type
-  /// with a shard-unit codec in checkpoint.h.
+  /// `body` in every shard across the pool, and merges the samples in plan
+  /// order (timings, traces and fault counters into the ledger, likewise
+  /// in plan order). Sample is any type with a shard-unit codec in
+  /// checkpoint.h.
   template <typename Sample>
   std::vector<Sample> run(const std::vector<std::optional<PtId>>& pts,
                           std::size_t item_count,
                           const ShardBody<Sample>& body);
 
-  /// Population-driven mode: shards BY USER COHORT instead of by PT — each
-  /// cohort's arrival/departure series is a pure function of
-  /// (campaign seed, cohort name) via Rng::fork("population/<cohort>"), so
-  /// cohorts run across the pool and merge in plan (cohort-index) order to
-  /// a Trajectory that is byte-identical at any --jobs. The config's
-  /// `seed` field is overridden with the campaign's scenario seed so the
-  /// fleet rides the same seed tree as the measured worlds. Cohort shards
-  /// report ShardTiming rows (pt = "population/<cohort>") but do not touch
-  /// the checkpoint store — campaign snapshot indices are unchanged.
-  population::Trajectory run_population(population::PopulationConfig pcfg);
-
-  const ShardedCampaignConfig& config() const { return cfg_; }
-
-  /// Per-shard timings, accumulated across runs, in plan (merge) order.
-  const std::vector<ShardTiming>& timings() const { return timings_; }
-
-  /// Per-shard flight-recorder captures, accumulated across runs in plan
-  /// (merge) order — byte-identical at any --jobs, exactly like samples.
-  /// Empty unless cfg.trace_categories is nonzero.
-  const std::vector<trace::ShardTrace>& traces() const { return traces_; }
-
-  /// Injected-fault counters summed over every shard's injector, in plan
-  /// order (deterministic for a given seed + plan).
-  std::uint64_t injected_faults(fault::FaultKind kind) const {
-    return fault_counts_[static_cast<std::size_t>(kind)];
-  }
-  std::uint64_t total_injected_faults() const;
-
-  /// The campaign's PT list as plan input: vanilla Tor first, then `pts`
-  /// (the bench convention).
-  static std::vector<std::optional<PtId>> with_vanilla(
-      const std::vector<PtId>& pts);
-
- private:
   ShardedCampaignConfig cfg_;
-  std::vector<ShardTiming> timings_;
-  std::vector<trace::ShardTrace> traces_;
-  std::array<std::uint64_t, static_cast<std::size_t>(fault::FaultKind::kCount_)>
-      fault_counts_{};
+  Ledger& ledger_;
 };
 
 }  // namespace ptperf

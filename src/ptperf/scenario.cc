@@ -136,11 +136,6 @@ tor::RelayIndex Scenario::add_bridge(net::Region region,
   return index;
 }
 
-net::HostId Scenario::add_client_host(net::Region region, bool wireless,
-                                      const std::string& name) {
-  return net_->add_host(name, region, client_traits(wireless));
-}
-
 net::HostId Scenario::add_infra_host(const std::string& name,
                                      net::Region region, double mbps,
                                      double load) {

@@ -48,7 +48,6 @@ class Scenario {
   const ScenarioConfig& config() const { return config_; }
 
   net::HostId client_host() const { return client_host_; }
-  net::HostId web_host() const { return web_host_; }
   const workload::Corpus& tranco() const { return tranco_; }
   const workload::Corpus& cbl() const { return cbl_; }
 
@@ -66,10 +65,6 @@ class Scenario {
   /// mechanism behind "some PTs beat vanilla Tor".
   tor::RelayIndex add_bridge(net::Region region, double background_load = 0.1,
                              double mbps = 400, double proc_ms = 40);
-
-  /// Adds an extra client host (e.g. a second vantage point).
-  net::HostId add_client_host(net::Region region, bool wireless = false,
-                              const std::string& name = "client2");
 
   /// Adds an auxiliary host (PT server, broker, resolver, ...) with
   /// "infrastructure" traits.

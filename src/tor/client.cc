@@ -64,9 +64,7 @@ void TorStream::send(util::Buf payload) {
   if (!circ->alive) return;
   auto it = circ->streams.find(impl_->stream_id);
   if (it == circ->streams.end() || it->second.closed) return;
-  // Chop into DATA cells addressed to the exit hop, batching the burst so
-  // a large write flushes its cells together at the end of this call.
-  CellBatch::Scope batch(circ->client->batch_);
+  // Chop into DATA cells addressed to the exit hop.
   util::BytesView view = payload.view();
   std::size_t off = 0;
   do {
@@ -436,7 +434,7 @@ void TorClient::send_relay(const std::shared_ptr<TorCircuit::Impl>& circ,
   for (std::size_t i = hop + 1; i-- > 0;) {
     circ->layers[i].process_forward(payload);
   }
-  batch_.send(circ->link, std::move(wire));
+  circ->link->send(std::move(wire));
 }
 
 void TorClient::kill_circuit(const std::shared_ptr<TorCircuit::Impl>& circ,

@@ -17,7 +17,6 @@
 
 #include "net/channel.h"
 #include "tor/cell.h"
-#include "tor/cell_batch.h"
 #include "tor/directory.h"
 #include "tor/onion.h"
 #include "tor/path.h"
@@ -127,8 +126,6 @@ class TorClient : public std::enable_shared_from_this<TorClient> {
   PathSelector selector_;
   FirstHopConnector first_hop_;
   CircId next_circ_id_ = 1;
-  /// Per-turn send batch (see cell_batch.h for the determinism contract).
-  CellBatch batch_;
 
   friend class TorStream;
   friend class TorCircuit;

@@ -37,8 +37,6 @@ class PathSelector {
   /// Forgets the persisted guard (Tor's "new identity" semantics).
   void reset_guard() { guard_.reset(); }
 
-  std::optional<RelayIndex> current_guard() const { return guard_; }
-
  private:
   RelayIndex weighted_pick(RelayFlags required_flag,
                            const std::vector<RelayIndex>& exclude);

@@ -123,7 +123,7 @@ void Relay::handle_relay_forward(const CircuitPtr& circ, util::Buf wire) {
   // Not ours: forward the same buffer one hop closer to the exit.
   if (circ->next) {
     patch_circ_id(wire.span(), circ->next_id);
-    batch_.send(circ->next, std::move(wire));
+    circ->next->send(std::move(wire));
   } else {
     // Unrecognized cell at the last hop: protocol violation.
     destroy_circuit(circ, /*notify_client=*/true);
@@ -210,7 +210,7 @@ void Relay::on_next_message(const CircuitPtr& circ, util::Buf wire) {
     // client unchanged otherwise.
     circ->layer->process_backward(wire.span().subspan(kCellHeaderSize));
     patch_circ_id(wire.span(), circ->prev_id);
-    batch_.send(circ->prev, std::move(wire));
+    circ->prev->send(std::move(wire));
   }
 }
 
@@ -303,15 +303,11 @@ void Relay::send_backward(const CircuitPtr& circ, RelayCommand command,
       util::BytesView(payload.data(), payload.size()));
   patch_relay_digest(payload, digest);
   circ->layer->process_backward(payload);
-  batch_.send(circ->prev, std::move(wire));
+  circ->prev->send(std::move(wire));
 }
 
 void Relay::pump_streams(const CircuitPtr& circ) {
   if (circ->destroyed) return;
-  // One batch per pump: every DATA cell of this turn is encoded (digest
-  // and onion state advance per cell, in order) and the sends flush
-  // together at scope exit in the same order.
-  CellBatch::Scope batch(batch_);
   for (auto& [sid, st] : circ->streams) {
     while (!st.buffer.empty() && st.package_window > 0 &&
            circ->circuit_package_window > 0) {

@@ -15,7 +15,6 @@
 
 #include "net/channel.h"
 #include "tor/cell.h"
-#include "tor/cell_batch.h"
 #include "tor/directory.h"
 #include "tor/onion.h"
 #include "util/buf.h"
@@ -121,8 +120,6 @@ class Relay : public std::enable_shared_from_this<Relay> {
   // on_link_closed() teardown order) identical across same-seed runs.
   std::map<std::pair<std::uint64_t, CircId>, CircuitPtr> circuits_;
   std::uint64_t cells_relayed_ = 0;
-  /// Per-turn send batch (see cell_batch.h for the determinism contract).
-  CellBatch batch_;
   /// Scratch for packaging exit-stream bytes (deques aren't contiguous).
   util::Bytes package_scratch_;
 };

@@ -71,12 +71,6 @@ void Recorder::end_span(SpanId id, SpanArgs extra_args) {
   }
 }
 
-void Recorder::annotate(SpanId id, std::string key, std::string value) {
-  if (id == 0) return;
-  if (SpanEvent* ev = find_open(id))
-    ev->args.emplace_back(std::move(key), std::move(value));
-}
-
 SpanId Recorder::instant(Category c, std::string name, SpanId parent,
                          SpanArgs args) {
   SpanId id = begin_span(c, std::move(name), parent, std::move(args));

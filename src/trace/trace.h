@@ -105,8 +105,6 @@ class Recorder {
   void end_span(SpanId id);
   /// Closes an open span and appends args first (outcome annotations).
   void end_span(SpanId id, SpanArgs extra_args);
-  /// Appends args to an open or closed span.
-  void annotate(SpanId id, std::string key, std::string value);
   /// Zero-duration event.
   SpanId instant(Category c, std::string name, SpanId parent = 0,
                  SpanArgs args = {});

@@ -1,14 +1,10 @@
 #include "util/encoding.h"
 
-#include <array>
-
 namespace ptperf::util {
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 constexpr char kBase32Alphabet[] = "abcdefghijklmnopqrstuvwxyz234567";
-constexpr char kBase64Alphabet[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 int hex_val(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -21,15 +17,6 @@ int base32_val(char c) {
   if (c >= 'a' && c <= 'z') return c - 'a';
   if (c >= 'A' && c <= 'Z') return c - 'A';
   if (c >= '2' && c <= '7') return c - '2' + 26;
-  return -1;
-}
-
-int base64_val(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
   return -1;
 }
 
@@ -92,64 +79,6 @@ std::optional<Bytes> base32_decode(std::string_view text) {
   }
   // Trailing bits must be zero padding, otherwise the input was malformed.
   if (bits > 0 && (acc & ((1u << bits) - 1)) != 0) return std::nullopt;
-  return out;
-}
-
-std::string base64_encode(BytesView data) {
-  std::string out;
-  out.reserve((data.size() + 2) / 3 * 4);
-  std::size_t i = 0;
-  for (; i + 3 <= data.size(); i += 3) {
-    std::uint32_t n = static_cast<std::uint32_t>(data[i]) << 16 |
-                      static_cast<std::uint32_t>(data[i + 1]) << 8 |
-                      data[i + 2];
-    out.push_back(kBase64Alphabet[n >> 18 & 0x3f]);
-    out.push_back(kBase64Alphabet[n >> 12 & 0x3f]);
-    out.push_back(kBase64Alphabet[n >> 6 & 0x3f]);
-    out.push_back(kBase64Alphabet[n & 0x3f]);
-  }
-  std::size_t rem = data.size() - i;
-  if (rem == 1) {
-    std::uint32_t n = static_cast<std::uint32_t>(data[i]) << 16;
-    out.push_back(kBase64Alphabet[n >> 18 & 0x3f]);
-    out.push_back(kBase64Alphabet[n >> 12 & 0x3f]);
-    out.append("==");
-  } else if (rem == 2) {
-    std::uint32_t n = static_cast<std::uint32_t>(data[i]) << 16 |
-                      static_cast<std::uint32_t>(data[i + 1]) << 8;
-    out.push_back(kBase64Alphabet[n >> 18 & 0x3f]);
-    out.push_back(kBase64Alphabet[n >> 12 & 0x3f]);
-    out.push_back(kBase64Alphabet[n >> 6 & 0x3f]);
-    out.push_back('=');
-  }
-  return out;
-}
-
-std::optional<Bytes> base64_decode(std::string_view text) {
-  if (text.size() % 4 != 0) return std::nullopt;
-  Bytes out;
-  out.reserve(text.size() / 4 * 3);
-  for (std::size_t i = 0; i < text.size(); i += 4) {
-    int pad = 0;
-    std::uint32_t n = 0;
-    for (int j = 0; j < 4; ++j) {
-      char c = text[i + j];
-      if (c == '=') {
-        // Padding is only valid in the last group's final positions.
-        if (i + 4 != text.size() || j < 2) return std::nullopt;
-        ++pad;
-        n <<= 6;
-        continue;
-      }
-      if (pad > 0) return std::nullopt;  // data after '='
-      int v = base64_val(c);
-      if (v < 0) return std::nullopt;
-      n = n << 6 | static_cast<std::uint32_t>(v);
-    }
-    out.push_back(static_cast<std::uint8_t>(n >> 16));
-    if (pad < 2) out.push_back(static_cast<std::uint8_t>(n >> 8));
-    if (pad < 1) out.push_back(static_cast<std::uint8_t>(n));
-  }
   return out;
 }
 

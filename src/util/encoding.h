@@ -1,5 +1,5 @@
-// Text encodings used on the wire: hex (fingerprints, test vectors),
-// base32 (dnstt DNS labels, onion addresses), base64 (bridge lines).
+// Text encodings used on the wire: hex (fingerprints, test vectors) and
+// base32 (dnstt DNS labels, onion addresses).
 #pragma once
 
 #include <optional>
@@ -17,9 +17,5 @@ std::optional<Bytes> hex_decode(std::string_view hex);
 /// by dnstt and in .onion addresses).
 std::string base32_encode(BytesView data);
 std::optional<Bytes> base32_decode(std::string_view text);
-
-/// RFC 4648 base64 with padding.
-std::string base64_encode(BytesView data);
-std::optional<Bytes> base64_decode(std::string_view text);
 
 }  // namespace ptperf::util

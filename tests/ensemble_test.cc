@@ -8,6 +8,9 @@
 //     byte-identical to a standalone single-repetition campaign at
 //     repeat_seed(base, r), so adding repetitions never perturbs earlier
 //     ones;
+//   - the accumulators: timings in (repetition, plan) order, repetition
+//     0's traces only, fault counters summed over every repetition — and
+//     no sharded campaign starts outside the ensemble layer;
 //   - the --repeats 1 byte-identity contract and the --jobs independence of
 //     the ensemble CSVs, checked end-to-end through the fig5 bench binary
 //     against tests/golden/ (BENCH_DIR / GOLDEN_DIR injected by CMake).
@@ -21,11 +24,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "ptperf/ensemble.h"
 #include "sim/rng.h"
 #include "stats/ttest.h"
+#include "trace/export.h"
 
 namespace ptperf {
 namespace {
@@ -217,6 +223,71 @@ TEST(EnsembleCampaignTest, JobsDoNotChangeAnyRepetition) {
   for (std::size_t r = 0; r < a.reps.size(); ++r)
     EXPECT_EQ(encode_files(a.reps[r]), encode_files(b.reps[r]))
         << "repetition " << r << " depends on --jobs";
+}
+
+// EnsembleCampaign is the only way to start a sharded campaign.
+static_assert(!std::is_constructible_v<ShardedCampaign, ShardedCampaignConfig>);
+
+/// fig8-like: a traced reliability campaign under the paper fault plan,
+/// one size per shard.
+EnsembleCampaignConfig traced_faulted(std::uint64_t seed, int repeats) {
+  ShardedCampaignConfig base = small_base(seed);
+  base.campaign.file_reps = 1;
+  base.items_per_shard = 1;
+  base.trace_categories = trace::kDefault;
+  base.configure_scenario = [](Scenario& scenario) {
+    scenario.install_fault_plan(fault::FaultPlan::paper_section_4_6());
+  };
+  return {base, repeats};
+}
+
+TEST(EnsembleCampaignTest, AccumulatorsFollowRepetitionAndPlanOrder) {
+  constexpr std::uint64_t kSeed = 1;
+  constexpr int kRepeats = 3;
+  const std::vector<std::optional<PtId>> pts{std::nullopt, PtId::kObfs4,
+                                             PtId::kMeek};
+  const std::vector<std::size_t> sizes{1u << 20, 2u << 20};
+  RetryPolicy retry;
+  retry.max_retries = 1;
+  const ShardPlan plan = ShardPlan::build(kSeed, pts, sizes.size(), 1);
+  const std::size_t n = plan.size();
+
+  EnsembleCampaign engine(traced_faulted(kSeed, kRepeats));
+  engine.run_reliability(pts, sizes, retry);
+  ASSERT_EQ(engine.timings().size(), kRepeats * n);
+
+  std::uint64_t standalone_faults = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    EnsembleCampaign standalone(traced_faulted(repeat_seed(kSeed, r), 1));
+    standalone.run_reliability(pts, sizes, retry);
+    standalone_faults += standalone.total_injected_faults();
+    // Repetition r's rows sit at [r * n, (r + 1) * n), in plan order, and
+    // are the rows its standalone campaign reports.
+    ASSERT_EQ(standalone.timings().size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const ShardTiming& got =
+          engine.timings()[static_cast<std::size_t>(r) * n + i];
+      const ShardTiming& want = standalone.timings()[i];
+      EXPECT_EQ(got.shard, i) << "repetition " << r;
+      EXPECT_EQ(got.pt, plan.shards()[i].pt_name) << "repetition " << r;
+      EXPECT_EQ(got.items, want.items) << "repetition " << r;
+      EXPECT_EQ(got.virtual_seconds, want.virtual_seconds)
+          << "repetition " << r << " shard " << i;
+    }
+    // The recorder observes repetition 0 only.
+    if (r == 0) {
+      EXPECT_EQ(trace::trace_jsonl(engine.traces()),
+                trace::trace_jsonl(standalone.traces()));
+    }
+  }
+  ASSERT_EQ(engine.traces().size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(engine.traces()[i].shard, i);
+    EXPECT_EQ(engine.traces()[i].pt, plan.shards()[i].pt_name);
+  }
+  // Fault counters sum over every repetition.
+  EXPECT_GT(standalone_faults, 0u) << "the fault plan injected nothing";
+  EXPECT_EQ(engine.total_injected_faults(), standalone_faults);
 }
 
 // ---------------------------------------------------------------------------

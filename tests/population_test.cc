@@ -2,9 +2,9 @@
 // the exact and approximation paths), the deterministic forcing function
 // (diurnal phase, surge onset), M/M/inf stationarity of the cohort
 // process, and the determinism contract — trajectory replay, cohort-merge
-// order invariance, horizon prefix stability, engine jobs-independence —
-// plus the contention curves' anchor fidelity and the ContendedResource
-// registration the transports perform.
+// order invariance, horizon prefix stability — plus the contention
+// curves' anchor fidelity and the ContendedResource registration the
+// transports perform.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +14,6 @@
 #include "net/resource.h"
 #include "population/contention.h"
 #include "population/population.h"
-#include "ptperf/ensemble.h"
-#include "ptperf/parallel.h"
 #include "ptperf/scenario.h"
 #include "ptperf/transports.h"
 
@@ -252,55 +250,6 @@ TEST(PopulationDeterminism, HorizonExtensionPreservesThePrefix) {
     EXPECT_EQ(short_run.active[i], long_run.active[i]) << "step " << i;
     EXPECT_EQ(short_run.arrivals[i], long_run.arrivals[i]) << "step " << i;
   }
-}
-
-TEST(PopulationEngine, TrajectoryIsJobsIndependent) {
-  population::PopulationConfig pcfg = small_fleet(0, 48.0);
-  ShardedCampaignConfig c1;
-  c1.scenario.seed = 21;
-  c1.jobs = 1;
-  ShardedCampaignConfig c4 = c1;
-  c4.jobs = 4;
-  ShardedCampaign e1(c1), e4(c4);
-  population::Trajectory t1 = e1.run_population(pcfg);
-  population::Trajectory t4 = e4.run_population(pcfg);
-  EXPECT_EQ(t1.arrivals, t4.arrivals);
-  EXPECT_EQ(t1.active, t4.active);
-  // One timing row per cohort shard, in plan order, tagged population/.
-  ASSERT_EQ(e1.timings().size(), pcfg.cohorts.size());
-  EXPECT_EQ(e1.timings()[0].pt, "population/alpha");
-  EXPECT_EQ(e1.timings()[2].pt, "population/gamma");
-}
-
-TEST(PopulationEngine, EngineOverridesTheFleetSeedWithTheCampaignSeed) {
-  population::PopulationConfig pcfg = small_fleet(999, 48.0);
-  ShardedCampaignConfig cc;
-  cc.scenario.seed = 21;
-  ShardedCampaign engine(cc);
-  population::Trajectory via_engine = engine.run_population(pcfg);
-  population::PopulationConfig direct = pcfg;
-  direct.seed = 21;
-  population::Trajectory expected =
-      population::PopulationModel(direct).simulate();
-  EXPECT_EQ(via_engine.active, expected.active);
-}
-
-TEST(PopulationEngine, EnsembleRepetitionsForkTheFleet) {
-  population::PopulationConfig pcfg = small_fleet(0, 24.0);
-  EnsembleCampaignConfig ecfg;
-  ecfg.base.scenario.seed = 5;
-  ecfg.repeats = 3;
-  EnsembleCampaign engine(ecfg);
-  std::vector<population::Trajectory> reps = engine.run_population(pcfg);
-  ASSERT_EQ(reps.size(), 3u);
-  // Repetition 0 rides the base seed (the --repeats 1 contract)...
-  population::PopulationConfig direct = pcfg;
-  direct.seed = 5;
-  EXPECT_EQ(reps[0].active,
-            population::PopulationModel(direct).simulate().active);
-  // ...and later repetitions are independent resamples.
-  EXPECT_NE(reps[1].active, reps[0].active);
-  EXPECT_NE(reps[2].active, reps[1].active);
 }
 
 // -------------------------------------------------------------- contention

@@ -118,9 +118,6 @@ TEST_F(SimlintCorpus, EveryRuleFiresOnItsTriggerFixture) {
   EXPECT_TRUE(has_finding(out, "bench/load_bypass_trigger.cc",
                           "load-bypass"))
       << out;
-  EXPECT_TRUE(has_finding(out, "bench/ensemble_bypass_trigger.cc",
-                          "ensemble-bypass"))
-      << out;
   EXPECT_TRUE(has_finding(out, "no_pragma_once.h", "pragma-once")) << out;
   EXPECT_TRUE(has_finding(out, "using_namespace_trigger.h",
                           "using-namespace-header"))
@@ -145,8 +142,6 @@ TEST_F(SimlintCorpus, TriggerFixturesReportExpectedCounts) {
   EXPECT_EQ(count_findings(out, "transport_bypass_trigger.cc"), 1) << out;
   // <cstdio> + <fstream> includes, FILE, fopen(), fwrite(), ofstream.
   EXPECT_EQ(count_findings(out, "checkpoint_io_trigger.cc"), 6) << out;
-  // ShardedCampaignConfig + ShardedCampaign, one finding each.
-  EXPECT_EQ(count_findings(out, "ensemble_bypass_trigger.cc"), 2) << out;
   EXPECT_EQ(count_findings(out, "load_bypass_trigger.cc"), 2) << out;
   // One == and one != with floating operands.
   EXPECT_EQ(count_findings(out, "float_eq_trigger.cc"), 2) << out;
@@ -181,7 +176,6 @@ TEST_F(SimlintCorpus, NoFalsePositivesOnNegativeSpaceFixtures) {
   EXPECT_EQ(count_findings(out, "pointer_key_value_ok.cc"), 0) << out;
   // Path-scoped rules must stay scoped to the deterministic core.
   EXPECT_EQ(count_findings(out, "hash_container_elsewhere.cc"), 0) << out;
-  EXPECT_EQ(count_findings(out, "sharded_campaign_elsewhere.cc"), 0) << out;
   EXPECT_EQ(count_findings(out, "load_bypass_elsewhere.cc"), 0) << out;
   EXPECT_EQ(count_findings(out, "checkpoint_io_elsewhere.cc"), 0) << out;
   // Owning copies off the cell hot path, and views/references on it.
@@ -307,8 +301,7 @@ TEST(Simlint, ListRulesNamesEveryRule) {
   for (const char* rule :
        {"banned-time", "banned-rng", "banned-thread", "hash-container",
         "pointer-keyed-map", "unsafe-c", "raw-instrumentation",
-        "checkpoint-io", "transport-bypass", "load-bypass", "ensemble-bypass",
-        "pragma-once",
+        "checkpoint-io", "transport-bypass", "load-bypass", "pragma-once",
         "using-namespace-header", "include-cycle", "layer-violation",
         "unordered-iteration", "float-eq", "switch-exhaustive",
         "hot-path-copy", "unused-suppression", "bad-suppression"}) {

@@ -1,11 +1,10 @@
 // Unit tests for the util layer: byte cursors, encodings, framing,
-// strings, constant-time compare, Result.
+// strings, constant-time compare.
 #include <gtest/gtest.h>
 
 #include "util/bytes.h"
 #include "util/encoding.h"
 #include "util/framer.h"
-#include "util/result.h"
 #include "util/strings.h"
 
 namespace ptperf::util {
@@ -95,34 +94,6 @@ TEST(Encoding, Base32RejectsBadChars) {
   EXPECT_FALSE(base32_decode("a!"));
 }
 
-TEST(Encoding, Base64KnownValues) {
-  // RFC 4648 vectors.
-  EXPECT_EQ(base64_encode(to_bytes("")), "");
-  EXPECT_EQ(base64_encode(to_bytes("f")), "Zg==");
-  EXPECT_EQ(base64_encode(to_bytes("fo")), "Zm8=");
-  EXPECT_EQ(base64_encode(to_bytes("foo")), "Zm9v");
-  EXPECT_EQ(base64_encode(to_bytes("foob")), "Zm9vYg==");
-  EXPECT_EQ(base64_encode(to_bytes("fooba")), "Zm9vYmE=");
-  EXPECT_EQ(base64_encode(to_bytes("foobar")), "Zm9vYmFy");
-}
-
-TEST(Encoding, Base64RoundTripAllLengths) {
-  for (std::size_t n = 0; n <= 48; ++n) {
-    Bytes data(n);
-    for (std::size_t i = 0; i < n; ++i) data[i] = static_cast<std::uint8_t>(255 - i);
-    auto back = base64_decode(base64_encode(data));
-    ASSERT_TRUE(back) << n;
-    EXPECT_EQ(*back, data) << n;
-  }
-}
-
-TEST(Encoding, Base64RejectsMalformed) {
-  EXPECT_FALSE(base64_decode("Zg="));     // bad length
-  EXPECT_FALSE(base64_decode("Z==="));    // pad too early
-  EXPECT_FALSE(base64_decode("Zm=v"));    // data after pad
-  EXPECT_FALSE(base64_decode("Zm9$"));    // bad char
-}
-
 TEST(Framer, SingleMessageRoundTrip) {
   std::vector<Bytes> got;
   MessageFramer f([&](Bytes m) { got.push_back(std::move(m)); });
@@ -173,20 +144,6 @@ TEST(Strings, MiscHelpers) {
   EXPECT_FALSE(starts_with("fo", "foo"));
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(-1.0, 0), "-1");
-}
-
-TEST(Result, ValueAndError) {
-  Result<int> ok(42);
-  EXPECT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value(), 42);
-  EXPECT_EQ(ok.value_or(0), 42);
-
-  Result<int> bad(Error{"boom"});
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().message, "boom");
-  EXPECT_EQ(bad.value_or(7), 7);
-  EXPECT_THROW(bad.value(), std::runtime_error);
-  EXPECT_THROW(ok.error(), std::logic_error);
 }
 
 }  // namespace

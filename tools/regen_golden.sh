@@ -8,12 +8,13 @@
 # Usage: tools/regen_golden.sh [build-dir]   (default: build)
 #
 # Two phases:
-#   1. Base goldens at --repeats 1 (the pre-ensemble behaviour), including
-#      fig10a's population-emitted timeline and fig12's weekly boxes. Before
-#      replacing anything, each output is diffed against the checked-in
-#      golden: a drift means the single-run pipeline changed, which the
-#      ensemble layer alone must never do. The script aborts on drift
-#      unless ALLOW_DRIFT=1 acknowledges an intentional model change.
+#   1. Base goldens at --repeats 1 (the pre-ensemble behaviour) for every
+#      figure and table bench, including fig10a's population-emitted
+#      timeline and fig12's weekly boxes. Before replacing anything, each
+#      output is diffed against the checked-in golden: a drift means the
+#      single-run pipeline changed, which the ensemble layer alone must
+#      never do. The script aborts on drift unless ALLOW_DRIFT=1
+#      acknowledges an intentional model change.
 #   2. Ensemble goldens from --repeats 3 --jobs 2 (fig2a, fig2b, fig5,
 #      fig6, fig8, fig9, fig10), regenerated from the base-verified build.
 #
@@ -68,6 +69,21 @@ run_base bench_fig8_reliability fig8a_outcomes.csv --faults paper --retries 1
 run_base bench_fig9_overhead fig9_overhead.csv
 run_base bench_fig10_snowflake_load fig10a_timeline.csv fig10b_boxes.csv
 run_base bench_fig12_snowflake_monitor fig12_weekly.csv
+run_base bench_fig3_fixed_circuit fig3a_boxes.csv fig3a_ttests.csv \
+  fig3b_ecdf.csv
+run_base bench_fig4_fixed_guard fig4_per_site.csv fig4_boxes.csv
+run_base bench_fig7_location fig7_location.csv fig7_summary.csv
+run_base bench_fig11_speed_index fig11_speed_index.csv fig11_vs_load.csv \
+  fig11_ttests.csv
+run_base bench_table1_overview table1_overview.csv
+run_base bench_table2_inventory table2_inventory.csv
+run_base bench_table10_categories table10_means.csv table10_ttests.csv
+run_base bench_medium_change medium_change.csv
+run_base bench_ablations ablation_guard_load.csv ablation_dnstt_cap.csv \
+  ablation_camoufler_rate.csv ablation_snowflake_churn.csv
+run_base bench_streaming streaming_quality.csv
+run_base bench_appendix_ting ting_relay_pairs.csv ting_pt_limitation.csv
+run_base bench_hop_decomposition hop_decomposition.csv
 
 if [ "$DRIFTED" -ne 0 ] && [ "${ALLOW_DRIFT:-0}" != "1" ]; then
   echo "" >&2

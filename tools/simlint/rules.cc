@@ -403,25 +403,6 @@ void check_load_bypass(const FileScan& scan, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: ensemble-bypass — a figure bench that constructs ShardedCampaign
-// directly sidesteps the ensemble layer: --repeats silently stops working
-// for that figure and its conclusions regress to the single-seed trials
-// the ensemble layer exists to retire. Figures go through
-// bench/common (ensemble_config + EnsembleCampaign); bench/common itself
-// and everything outside bench/ (the library, tests, tools) still compose
-// the engines directly.
-
-void check_ensemble_bypass(const FileScan& scan, std::vector<Finding>& out) {
-  if (!path_under(scan, {"bench/"})) return;
-  if (path_under(scan, {"bench/common"})) return;
-  ban_idents(scan, out, "ensemble-bypass",
-             {"ShardedCampaign", "ShardedCampaignConfig"},
-             "bypasses the ensemble layer, so --repeats cannot replicate "
-             "this figure; build the campaign via ensemble_config() and "
-             "EnsembleCampaign (bench/common.h)");
-}
-
-// ---------------------------------------------------------------------------
 // Rule: pragma-once — every header must have it (include-graph hygiene).
 
 void check_pragma_once(const FileScan& scan, std::vector<Finding>& out) {
@@ -761,9 +742,6 @@ const std::vector<Rule> kRules = {
      "hand-set load knobs (set_background_load/set_overloaded) outside the "
      "population engine",
      check_load_bypass, nullptr},
-    {"ensemble-bypass",
-     "direct ShardedCampaign construction in bench/ outside bench/common",
-     check_ensemble_bypass, nullptr},
     {"pragma-once", "headers must contain #pragma once", check_pragma_once,
      nullptr},
     {"using-namespace-header", "no using-directives in headers",

@@ -8,6 +8,7 @@
 #include "net/tls.h"
 #include "pt/layer/carrier.h"
 #include "trace/trace.h"
+#include "util/byte_queue.h"
 #include "util/framer.h"
 
 namespace ptperf::pt {
@@ -37,21 +38,16 @@ class DnsttServerSession final
   /// Pulls up to `budget` downstream bytes; first byte is the more-flag.
   util::Bytes pull(std::size_t budget) {
     std::size_t n = std::min(budget > 0 ? budget - 1 : 0, downstream_.size());
-    util::Bytes out;
-    out.reserve(n + 1);
-    out.push_back(0);  // patched below
-    out.insert(out.end(), downstream_.begin(),
-               downstream_.begin() + static_cast<long>(n));
-    downstream_.erase(downstream_.begin(),
-                      downstream_.begin() + static_cast<long>(n));
-    out[0] = downstream_.empty() ? 0 : 1;
-    return out;
+    util::Writer out(n + 1);
+    out.u8(downstream_.size() > n ? 1 : 0);
+    out.raw(downstream_.front(n));
+    downstream_.consume(n);
+    return out.take();
   }
 
   void send(util::Buf payload) override {
     if (acct_) meter_.push(payload.size());
-    util::Bytes framed = util::frame_message(payload);
-    downstream_.insert(downstream_.end(), framed.begin(), framed.end());
+    downstream_.append(util::frame_message(payload));
   }
   void set_receiver(Receiver fn) override { receiver_ = std::move(fn); }
   void set_close_handler(CloseHandler fn) override {
@@ -71,7 +67,7 @@ class DnsttServerSession final
   util::MessageFramer framer_;
   Receiver receiver_;
   CloseHandler close_handler_;
-  util::Bytes downstream_;
+  util::ByteQueue downstream_;
   bool dead_ = false;
 };
 
@@ -106,8 +102,7 @@ class DnsttClientChannel final
   void send(util::Buf payload) override {
     if (dead_) return;
     if (acct_) meter_.push(payload.size());
-    util::Bytes framed = util::frame_message(payload);
-    upstream_.insert(upstream_.end(), framed.begin(), framed.end());
+    upstream_.append(util::frame_message(payload));
     pump();
   }
   void set_receiver(Receiver fn) override { receiver_ = std::move(fn); }
@@ -136,8 +131,8 @@ class DnsttClientChannel final
     std::size_t n = std::min(max_chunk_, upstream_.size());
     util::Writer payload(8 + n);
     payload.u64(session_id_);
-    payload.raw(util::BytesView(upstream_.data(), n));
-    upstream_.erase(upstream_.begin(), upstream_.begin() + static_cast<long>(n));
+    payload.raw(upstream_.front(n));
+    upstream_.consume(n);
 
     net::dns::Message query;
     query.id = static_cast<std::uint16_t>(next_id_++);
@@ -205,7 +200,7 @@ class DnsttClientChannel final
   util::MessageFramer framer_;
   Receiver receiver_;
   CloseHandler close_handler_;
-  util::Bytes upstream_;
+  util::ByteQueue upstream_;
   std::size_t max_chunk_ = 64;
   int in_flight_ = 0;
   bool server_has_more_ = false;

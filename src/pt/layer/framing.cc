@@ -153,11 +153,10 @@ void SegmentingChannel::attach() {
 void SegmentingChannel::send(util::Buf payload) {
   if (closed_) return;
   if (policy_.accounting) meter_.push(payload.size());
-  util::Bytes framed = util::frame_message(payload);
   // Coalesce: bytes queue as a stream and pump() cuts max_segment units,
   // so many small tunnel messages (cells) share one wire unit — the way a
   // real cover-channel encoder batches pending data.
-  outbox_.insert(outbox_.end(), framed.begin(), framed.end());
+  outbox_.append(util::frame_message(payload));
   pump();
 }
 
@@ -174,17 +173,15 @@ void SegmentingChannel::pump() {
     self->pump_scheduled_ = false;
     if (self->closed_ || self->outbox_.empty()) return;
     std::size_t n = std::min(self->policy_.max_segment, self->outbox_.size());
-    util::Bytes payload(self->outbox_.begin(),
-                        self->outbox_.begin() + static_cast<long>(n));
-    self->outbox_.erase(self->outbox_.begin(),
-                        self->outbox_.begin() + static_cast<long>(n));
+    util::Bytes unit = encode_unit(self->outbox_.front(n),
+                                   self->policy_.per_segment_overhead);
+    self->outbox_.consume(n);
     if (self->policy_.accounting) {
       FramedStreamMeter::Cut cut = self->meter_.consume(n);
       self->policy_.accounting->on_frame(
           4 + n + self->policy_.per_segment_overhead, cut.payload);
     }
-    self->inner_->send(
-        encode_unit(payload, self->policy_.per_segment_overhead));
+    self->inner_->send(std::move(unit));
     if (self->policy_.rate_units_per_sec > 0) {
       self->next_send_ =
           self->loop_->now() +

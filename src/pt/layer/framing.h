@@ -33,6 +33,7 @@
 #include "pt/layer/layer.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
+#include "util/byte_queue.h"
 #include "util/framer.h"
 
 namespace ptperf::pt::layer {
@@ -122,7 +123,7 @@ class SegmentingChannel final
   FramedStreamMeter meter_;
   Receiver receiver_;
   CloseHandler close_handler_;
-  util::Bytes outbox_;  // framed stream bytes awaiting unit cutting
+  util::ByteQueue outbox_;  // framed stream bytes awaiting unit cutting
   sim::TimePoint next_send_{};
   bool pump_scheduled_ = false;
   bool closed_ = false;

@@ -9,6 +9,7 @@
 #include "pt/layer/carrier.h"
 #include "pt/layer/rate_limit.h"
 #include "trace/trace.h"
+#include "util/byte_queue.h"
 #include "util/framer.h"
 
 namespace ptperf::pt {
@@ -46,10 +47,9 @@ class MeekServerSession final
     if (!request_body.empty()) framer_.feed(request_body);
 
     std::size_t n = std::min(cfg_.max_body, downstream_.size());
-    util::Bytes body(downstream_.begin(),
-                     downstream_.begin() + static_cast<long>(n));
-    downstream_.erase(downstream_.begin(),
-                      downstream_.begin() + static_cast<long>(n));
+    util::BytesView queued = downstream_.front(n);
+    util::Bytes body(queued.begin(), queued.end());
+    downstream_.consume(n);
 
     // Saturation accounting: a full response means the tunnel is running
     // flat out; enough consecutive saturated seconds triggers the reset.
@@ -77,8 +77,7 @@ class MeekServerSession final
   // Channel interface: send() queues bytes for future poll responses.
   void send(util::Buf payload) override {
     if (acct_) meter_.push(payload.size());
-    util::Bytes framed = util::frame_message(payload);
-    downstream_.insert(downstream_.end(), framed.begin(), framed.end());
+    downstream_.append(util::frame_message(payload));
   }
   void set_receiver(Receiver fn) override { receiver_ = std::move(fn); }
   void set_close_handler(CloseHandler fn) override {
@@ -95,7 +94,7 @@ class MeekServerSession final
   util::MessageFramer framer_;
   Receiver receiver_;
   CloseHandler close_handler_;
-  util::Bytes downstream_;
+  util::ByteQueue downstream_;
   bool dead_ = false;
   bool immune_ = false;
   double reset_after_s_ = 0;
@@ -132,8 +131,7 @@ class MeekClientChannel final
   void send(util::Buf payload) override {
     if (dead_) return;
     if (acct_) meter_.push(payload.size());
-    util::Bytes framed = util::frame_message(payload);
-    upstream_.insert(upstream_.end(), framed.begin(), framed.end());
+    upstream_.append(util::frame_message(payload));
     // Data pending: poll now rather than waiting out the backoff.
     if (!poll_in_flight_) schedule_poll(sim::Duration::zero());
   }
@@ -168,8 +166,9 @@ class MeekClientChannel final
     req.target = "/";
     req.host = cfg_.front_domain;
     req.headers["x-session-id"] = std::to_string(session_id_);
-    req.body.assign(upstream_.begin(), upstream_.begin() + static_cast<long>(n));
-    upstream_.erase(upstream_.begin(), upstream_.begin() + static_cast<long>(n));
+    util::BytesView queued = upstream_.front(n);
+    req.body.assign(queued.begin(), queued.end());
+    upstream_.consume(n);
     util::Bytes wire = net::http::encode_request(req);
     if (acct_) {
       layer::FramedStreamMeter::Cut cut = meter_.consume(n);
@@ -211,7 +210,7 @@ class MeekClientChannel final
   util::MessageFramer framer_;
   Receiver receiver_;
   CloseHandler close_handler_;
-  util::Bytes upstream_;
+  util::ByteQueue upstream_;
   bool dead_ = false;
   bool poll_in_flight_ = false;
   bool poll_scheduled_ = false;

@@ -65,8 +65,7 @@ void ChopperChannel::add_connection(net::ChannelPtr conn) {
 void ChopperChannel::send(util::Buf payload) {
   if (closed_) return;
   if (config_.accounting) meter_.push(payload.size());
-  util::Bytes framed = util::frame_message(payload);
-  outbox_.insert(outbox_.end(), framed.begin(), framed.end());
+  outbox_.append(util::frame_message(payload));
   flush();
 }
 
@@ -76,16 +75,15 @@ void ChopperChannel::flush() {
     std::size_t block = config_.min_block +
                         rng_.next_below(config_.max_block - config_.min_block + 1);
     std::size_t n = std::min(block, outbox_.size());
-    util::BytesView payload(outbox_.data(), n);
-    util::Bytes wire = encode_block(send_seq_++, payload,
+    util::Bytes wire = encode_block(send_seq_++, outbox_.front(n),
                                     config_.cover_overhead);
+    outbox_.consume(n);
     if (config_.accounting) {
       layer::FramedStreamMeter::Cut cut = meter_.consume(n);
       config_.accounting->on_frame(wire.size(), cut.payload);
     }
     conns_[next_conn_]->send(std::move(wire));
     next_conn_ = (next_conn_ + 1) % conns_.size();
-    outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<long>(n));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "pt/transport.h"
+#include "util/byte_queue.h"
 #include "util/framer.h"
 #include "pt/upstream.h"
 #include "sim/rng.h"
@@ -56,7 +57,7 @@ class ChopperChannel final : public net::Channel,
   std::uint64_t send_seq_ = 0;
   std::uint64_t recv_next_ = 0;
   std::map<std::uint64_t, util::Bytes> reorder_;
-  util::Bytes outbox_;  // framed stream awaiting chopping
+  util::ByteQueue outbox_;  // framed stream awaiting chopping
   util::MessageFramer framer_;
   Receiver receiver_;
   CloseHandler close_handler_;

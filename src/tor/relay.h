@@ -62,7 +62,10 @@ class Relay : public std::enable_shared_from_this<Relay> {
   struct ExitStream {
     net::ChannelPtr channel;
     int package_window = kStreamWindowInit;
-    std::deque<std::uint8_t> buffer;  // server bytes awaiting packaging
+    // Server bytes awaiting packaging. A deque, not a util::ByteQueue: the
+    // exit reads a whole response with no back-pressure, and a contiguous
+    // queue regrows to twice that, where the deque's nodes come and go.
+    std::deque<std::uint8_t> buffer;
     bool connected = false;
     bool remote_closed = false;
     bool end_sent = false;

@@ -10,15 +10,17 @@ Bytes frame_message(BytesView message) {
 }
 
 void MessageFramer::feed(BytesView chunk) {
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+  buffer_.append(chunk);
   while (buffer_.size() >= 4) {
-    std::uint32_t len = static_cast<std::uint32_t>(buffer_[0]) << 24 |
-                        static_cast<std::uint32_t>(buffer_[1]) << 16 |
-                        static_cast<std::uint32_t>(buffer_[2]) << 8 |
-                        buffer_[3];
+    BytesView header = buffer_.front(4);
+    std::uint32_t len = static_cast<std::uint32_t>(header[0]) << 24 |
+                        static_cast<std::uint32_t>(header[1]) << 16 |
+                        static_cast<std::uint32_t>(header[2]) << 8 |
+                        header[3];
     if (buffer_.size() < 4 + static_cast<std::size_t>(len)) return;
-    Bytes message(buffer_.begin() + 4, buffer_.begin() + 4 + len);
-    buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + len);
+    BytesView frame = buffer_.front(4 + static_cast<std::size_t>(len));
+    Bytes message(frame.begin() + 4, frame.end());
+    buffer_.consume(frame.size());
     on_message_(std::move(message));
   }
 }

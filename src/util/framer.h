@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "util/byte_queue.h"
 #include "util/bytes.h"
 
 namespace ptperf::util {
@@ -30,7 +31,7 @@ class MessageFramer {
 
  private:
   MessageHandler on_message_;
-  Bytes buffer_;
+  ByteQueue buffer_;
 };
 
 }  // namespace ptperf::util

@@ -10,6 +10,7 @@
 #include "pt/stegotorus.h"
 #include "pt/transport.h"
 #include "pt/upstream.h"
+#include "util/framer.h"
 
 namespace ptperf::pt {
 namespace {
@@ -77,6 +78,50 @@ TEST(SegmentingChannel, RateLimitPacesUnits) {
   // 11 units at 2/s: at least 5 s of pacing.
   EXPECT_GT(elapsed, 4.5);
   EXPECT_GT(received, 1000u);
+}
+
+// A rate cap lets a burst stand in the outbox: 2 MiB of cell-sized
+// messages queued at once drain one marionette-sized unit per pacing slot.
+// Every unit but the last must be full, and the messages must reassemble
+// whole and in order.
+TEST(SegmentingChannel, StandingBacklogDrainsInFullUnitsInOrder) {
+  PipePair pair;
+  SegmentPolicy policy;
+  policy.max_segment = 1460;
+  policy.rate_units_per_sec = 1000.0;
+  auto tx = SegmentingChannel::create(pair.loop, pair.client, policy);
+
+  constexpr std::size_t kMessageSize = 514;
+  constexpr std::size_t kMessages = (2u << 20) / kMessageSize;
+  std::vector<std::size_t> unit_payloads;
+  std::vector<Bytes> got;
+  util::MessageFramer framer([&](Bytes m) { got.push_back(std::move(m)); });
+  pair.server->set_receiver([&](util::Buf unit) {
+    util::Reader r(unit.view());
+    std::uint32_t len = r.u32();
+    unit_payloads.push_back(len);
+    framer.feed(r.take(len));
+  });
+
+  auto message = [&](std::size_t i) {
+    Bytes m(kMessageSize, static_cast<std::uint8_t>(i));
+    m[0] = static_cast<std::uint8_t>(i >> 8);
+    return m;
+  };
+  for (std::size_t i = 0; i < kMessages; ++i) tx->send(message(i));
+  pair.loop.run();
+
+  ASSERT_EQ(got.size(), kMessages);
+  for (std::size_t i = 0; i < kMessages; ++i)
+    ASSERT_EQ(got[i], message(i)) << "message " << i;
+  EXPECT_EQ(framer.pending(), 0u);
+  const std::size_t stream = kMessages * (4 + kMessageSize);
+  ASSERT_EQ(unit_payloads.size(),
+            (stream + policy.max_segment - 1) / policy.max_segment);
+  for (std::size_t u = 0; u + 1 < unit_payloads.size(); ++u)
+    ASSERT_EQ(unit_payloads[u], policy.max_segment) << "unit " << u;
+  EXPECT_EQ(unit_payloads.back(),
+            stream - (unit_payloads.size() - 1) * policy.max_segment);
 }
 
 TEST(SegmentingChannel, CoalescesSmallMessages) {

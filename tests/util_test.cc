@@ -1,7 +1,12 @@
-// Unit tests for the util layer: byte cursors, encodings, framing,
-// strings, constant-time compare.
+// Unit tests for the util layer: byte cursors, encodings, framing, the
+// byte FIFO, strings, constant-time compare.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "sim/rng.h"
+#include "util/byte_queue.h"
 #include "util/bytes.h"
 #include "util/encoding.h"
 #include "util/framer.h"
@@ -127,6 +132,32 @@ TEST(Framer, PendingReportsIncompleteFrame) {
   MessageFramer f([](Bytes) { FAIL() << "no message expected"; });
   f.feed(Bytes{0, 0, 0, 10, 1, 2});  // 10-byte frame, only 2 arrived
   EXPECT_EQ(f.pending(), 6u);
+}
+
+// ByteQueue against a std::deque given the same seeded appends and
+// consumes: after every step both hold the same bytes. Consumes of 0 to
+// size() bytes leave prefixes of every length behind, so the run crosses
+// many compactions as well as full drains.
+TEST(ByteQueue, MatchesDequeUnderRandomAppendsAndConsumes) {
+  sim::Rng rng(20261019);
+  ByteQueue q;
+  std::deque<std::uint8_t> ref;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.next_bool(0.5)) {
+      Bytes chunk = rng.bytes(rng.next_below(3001));
+      q.append(chunk);
+      ref.insert(ref.end(), chunk.begin(), chunk.end());
+    } else {
+      std::size_t n = rng.next_below(ref.size() + 1);
+      q.consume(n);
+      ref.erase(ref.begin(), ref.begin() + static_cast<long>(n));
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.empty(), ref.empty()) << "step " << step;
+    BytesView all = q.front(q.size());
+    ASSERT_TRUE(std::equal(all.begin(), all.end(), ref.begin(), ref.end()))
+        << "step " << step;
+  }
 }
 
 TEST(Strings, SplitJoin) {

@@ -10,11 +10,12 @@
 # Two phases:
 #   1. Base goldens at --repeats 1 (the pre-ensemble behaviour) for every
 #      figure and table bench, including fig10a's population-emitted
-#      timeline and fig12's weekly boxes. Before replacing anything, each
-#      output is diffed against the checked-in golden: a drift means the
-#      single-run pipeline changed, which the ensemble layer alone must
-#      never do. The script aborts on drift unless ALLOW_DRIFT=1
-#      acknowledges an intentional model change.
+#      timeline, fig12's weekly boxes, and both fig12 modes at --seed 2.
+#      Before replacing anything, each output is diffed against the
+#      checked-in golden: a drift means the single-run pipeline changed,
+#      which the ensemble layer alone must never do. The script aborts
+#      on drift unless ALLOW_DRIFT=1 acknowledges an intentional model
+#      change.
 #   2. Ensemble goldens from --repeats 3 --jobs 2 (fig2a, fig2b, fig5,
 #      fig6, fig8, fig9, fig10), regenerated from the base-verified build.
 #
@@ -35,6 +36,20 @@ DRIFTED=0
 # `--` are bench flags (consumed with their value), everything else is a
 # CSV the run produced.
 BASE_CSVS=()
+# stage_base <produced csv> <golden name>: drift-checks one run's CSV
+# against its golden and stages it for replacement.
+stage_base() {
+  local produced="$1" golden="$2"
+  grep -v '^#' "$produced" > "$TMP/new_$golden"
+  if [ -f "$ROOT/tests/golden/$golden" ] && \
+     ! cmp -s "$TMP/new_$golden" "$ROOT/tests/golden/$golden"; then
+    echo "DRIFT: tests/golden/$golden no longer matches a --repeats 1 run" >&2
+    diff -u "$ROOT/tests/golden/$golden" "$TMP/new_$golden" >&2 || true
+    DRIFTED=1
+  fi
+  cp "$TMP/new_$golden" "$TMP/stage_$golden"
+  BASE_CSVS+=("$golden")
+}
 run_base() {
   local bench="$1"
   shift
@@ -49,16 +64,19 @@ run_base() {
     --out "$TMP" "${flags[@]}" > /dev/null
   local csv
   for csv in "${csvs[@]}"; do
-    grep -v '^#' "$TMP/$csv" > "$TMP/new_$csv"
-    if [ -f "$ROOT/tests/golden/$csv" ] && \
-       ! cmp -s "$TMP/new_$csv" "$ROOT/tests/golden/$csv"; then
-      echo "DRIFT: tests/golden/$csv no longer matches a --repeats 1 run" >&2
-      diff -u "$ROOT/tests/golden/$csv" "$TMP/new_$csv" >&2 || true
-      DRIFTED=1
-    fi
-    cp "$TMP/new_$csv" "$TMP/stage_$csv"
-    BASE_CSVS+=("$csv")
+    stage_base "$TMP/$csv" "$csv"
   done
+}
+# fig12 at --seed 2, both modes, against *_seed2.csv goldens
+# (GoldenFigures.Fig12*FollowsTheSeed): the fleet's default seed is the
+# other goldens' seed 1, so only another seed pins fig12's override.
+run_fig12_seed2() {
+  local csv="$1"
+  shift
+  mkdir -p "$TMP/seed2"
+  "$ROOT/$BUILD/bench/bench_fig12_snowflake_monitor" --scale 0.05 --seed 2 \
+    --jobs 2 --repeats 1 --out "$TMP/seed2" "$@" > /dev/null
+  stage_base "$TMP/seed2/$csv" "${csv%.csv}_seed2.csv"
 }
 
 run_base bench_fig2a_website_curl fig2a_boxes.csv
@@ -69,6 +87,8 @@ run_base bench_fig8_reliability fig8a_outcomes.csv --faults paper --retries 1
 run_base bench_fig9_overhead fig9_overhead.csv
 run_base bench_fig10_snowflake_load fig10a_timeline.csv fig10b_boxes.csv
 run_base bench_fig12_snowflake_monitor fig12_weekly.csv
+run_fig12_seed2 fig12_weekly.csv
+run_fig12_seed2 fig12_monitor.csv --monitor
 run_base bench_fig3_fixed_circuit fig3a_boxes.csv fig3a_ttests.csv \
   fig3b_ecdf.csv
 run_base bench_fig4_fixed_guard fig4_per_site.csv fig4_boxes.csv

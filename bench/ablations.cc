@@ -58,22 +58,7 @@ void ablate_guard_load(const BenchArgs& args) {
     auto transport = std::make_shared<pt::Obfs4Transport>(
         scenario.network(), scenario.consensus(), scenario.fork_rng("ab1"),
         ocfg);
-    PtStack obfs4;
-    obfs4.info = transport->info();
-    obfs4.transport = transport;
-    obfs4.tor = scenario.make_tor_client(scenario.client_host());
-    obfs4.tor->set_first_hop_connector(transport->connector());
-    tor::PathConstraints constraints;
-    constraints.entry = bridge;
-    auto pool = std::make_shared<CircuitPool>(obfs4.tor, constraints);
-    obfs4.pool = pool;
-    std::string service = "socks-ab1";
-    obfs4.socks = std::make_shared<tor::TorSocksServer>(obfs4.tor, service);
-    obfs4.socks->set_circuit_provider(pool->provider());
-    obfs4.socks->start();
-    obfs4.fetcher =
-        scenario.make_loopback_fetcher(scenario.client_host(), service);
-    obfs4.new_identity = [pool] { pool->new_identity(); };
+    PtStack obfs4 = factory.attach(transport);
 
     auto tor_loads = load_seconds(campaign.run_website_selenium(tor, sites));
     auto o4_loads = load_seconds(campaign.run_website_selenium(obfs4, sites));
@@ -108,22 +93,7 @@ void ablate_dnstt_cap(const BenchArgs& args) {
     auto transport = std::make_shared<pt::DnsttTransport>(
         scenario.network(), scenario.consensus(), scenario.fork_rng("ab2"),
         dcfg);
-    PtStack stack;
-    stack.info = transport->info();
-    stack.transport = transport;
-    stack.tor = scenario.make_tor_client(scenario.client_host());
-    stack.tor->set_first_hop_connector(transport->connector());
-    tor::PathConstraints constraints;
-    constraints.entry = bridge;
-    auto pool = std::make_shared<CircuitPool>(stack.tor, constraints);
-    stack.pool = pool;
-    std::string service = "socks-ab2-" + std::to_string(cap);
-    stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, service);
-    stack.socks->set_circuit_provider(pool->provider());
-    stack.socks->start();
-    stack.fetcher =
-        scenario.make_loopback_fetcher(scenario.client_host(), service);
-    stack.new_identity = [pool] { pool->new_identity(); };
+    PtStack stack = TransportFactory(scenario).attach(transport);
 
     CampaignOptions copts;
     copts.file_reps = scaled_int(4, args.scale, 3);
@@ -167,25 +137,7 @@ void ablate_camoufler_rate(const BenchArgs& args) {
     auto transport = std::make_shared<pt::CamouflerTransport>(
         scenario.network(), scenario.consensus(), scenario.fork_rng("ab3"),
         ccfg);
-    PtStack stack;
-    stack.info = transport->info();
-    stack.transport = transport;
-    stack.tor = scenario.make_tor_client(scenario.client_host());
-    stack.tor->set_first_hop_connector(transport->connector());
-    auto pool =
-        std::make_shared<CircuitPool>(stack.tor, tor::PathConstraints{});
-    stack.pool = pool;
-    std::string service = "socks-ab3";
-    stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, service);
-    stack.socks->set_circuit_provider(pool->provider());
-    stack.socks->start();
-    stack.fetcher =
-        scenario.make_loopback_fetcher(scenario.client_host(), service);
-    stack.new_identity = [pool] { pool->new_identity(); };
-    auto tor_client = stack.tor;
-    stack.rotate_guard = [tor_client] {
-      tor_client->path_selector().reset_guard();
-    };
+    PtStack stack = TransportFactory(scenario).attach(transport);
 
     CampaignOptions copts;
     copts.website_reps = 2;

@@ -39,40 +39,13 @@ int run(const BenchArgs& args) {
   auto webtunnel = std::make_shared<pt::WebTunnelTransport>(
       scenario.network(), scenario.consensus(), scenario.fork_rng("wt"), wcfg);
 
-  // Three Tor clients: direct (guard = shared host), obfs4, webtunnel.
-  auto tor_direct = scenario.make_tor_client(scenario.client_host());
-  auto tor_obfs4 = scenario.make_tor_client(scenario.client_host());
-  tor_obfs4->set_first_hop_connector(obfs4->connector());
-  auto tor_webtunnel = scenario.make_tor_client(scenario.client_host());
-  tor_webtunnel->set_first_hop_connector(webtunnel->connector());
-
-  struct Stack {
-    std::string name;
-    std::shared_ptr<tor::TorClient> client;
-    std::shared_ptr<CircuitPool> pool;
-    std::shared_ptr<tor::TorSocksServer> socks;
-    std::shared_ptr<workload::Fetcher> fetcher;
-    std::vector<double> times;
-  };
-  std::vector<Stack> stacks;
-  for (auto& [name, client] :
-       std::vector<std::pair<std::string, std::shared_ptr<tor::TorClient>>>{
-           {"tor", tor_direct},
-           {"obfs4", tor_obfs4},
-           {"webtunnel", tor_webtunnel}}) {
-    Stack s;
-    s.name = name;
-    s.client = client;
-    tor::PathConstraints constraints;
-    constraints.entry = shared_bridge;
-    s.pool = std::make_shared<CircuitPool>(client, constraints);
-    s.socks = std::make_shared<tor::TorSocksServer>(client, "socks-" + name);
-    s.socks->set_circuit_provider(s.pool->provider());
-    s.socks->start();
-    s.fetcher = scenario.make_loopback_fetcher(scenario.client_host(),
-                                               "socks-" + name);
-    stacks.push_back(std::move(s));
-  }
+  // Three stacks: vanilla Tor (guard = shared host), obfs4, webtunnel.
+  TransportFactory factory(scenario);
+  std::vector<PtStack> stacks;
+  stacks.push_back(factory.create_vanilla());
+  stacks.push_back(factory.attach(obfs4));
+  stacks.push_back(factory.attach(webtunnel));
+  std::vector<std::vector<double>> times(stacks.size());
 
   // Iterations: fresh middle/exit pair per iteration, shared by all three
   // stacks (paper: 500 iterations x 5 sites; default 25, --scale grows).
@@ -88,13 +61,13 @@ int run(const BenchArgs& args) {
 
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     tor::Path p = sampler.select({});
-    for (Stack& s : stacks) {
+    for (PtStack& s : stacks) {
       tor::PathConstraints constraints;
       constraints.entry = shared_bridge;
       constraints.middle = p.middle;
       constraints.exit = p.exit;
-      s.pool->set_constraints(constraints);
-      s.pool->warm(loop);  // circuits pre-built, as in the paper's setup
+      s.socks->set_constraints(constraints);
+      s.socks->warm();  // circuits pre-built, as in the paper's setup
     }
     for (const workload::Website& site : scenario.tranco().sites()) {
       double site_time[3] = {-1, -1, -1};
@@ -103,7 +76,7 @@ int run(const BenchArgs& args) {
         stacks[k].fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
                                  [&](workload::FetchResult r) {
                                    if (r.success) {
-                                     stacks[k].times.push_back(r.elapsed());
+                                     times[k].push_back(r.elapsed());
                                      site_time[k] = r.elapsed();
                                    }
                                    done = true;
@@ -121,9 +94,9 @@ int run(const BenchArgs& args) {
   std::printf("-- Figure 3a: access time over the fixed circuit (s) --\n");
   stats::Table boxes(box_header());
   std::vector<std::pair<std::string, std::vector<double>>> groups;
-  for (Stack& s : stacks) {
-    boxes.add_row(box_row(s.name, s.times));
-    groups.emplace_back(s.name, s.times);
+  for (std::size_t k = 0; k < stacks.size(); ++k) {
+    boxes.add_row(box_row(stacks[k].name(), times[k]));
+    groups.emplace_back(stacks[k].name(), times[k]);
   }
   emit(boxes, args, "fig3a_boxes");
 

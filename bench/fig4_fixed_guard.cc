@@ -28,24 +28,14 @@ int run(const BenchArgs& args) {
   auto obfs4 = std::make_shared<pt::Obfs4Transport>(
       scenario.network(), scenario.consensus(), scenario.fork_rng("o4"), ocfg);
 
-  auto make_stack = [&](const std::string& name,
-                        bool use_obfs4) {
-    auto client = scenario.make_tor_client(scenario.client_host());
-    if (use_obfs4) client->set_first_hop_connector(obfs4->connector());
-    tor::PathConstraints constraints;
-    constraints.entry = shared_bridge;
-    auto pool = std::make_shared<CircuitPool>(client, constraints);
-    auto socks = std::make_shared<tor::TorSocksServer>(client, "socks-" + name);
-    socks->set_circuit_provider(pool->provider());
-    socks->start();
-    auto fetcher =
-        scenario.make_loopback_fetcher(scenario.client_host(), "socks-" + name);
-    return std::tuple(client, pool, socks, fetcher);
-  };
-
-  auto [tor_client, tor_pool, tor_socks, tor_fetcher] =
-      make_stack("tor", false);
-  auto [o4_client, o4_pool, o4_socks, o4_fetcher] = make_stack("obfs4", true);
+  // Both stacks enter at the shared host: vanilla Tor pins it as its
+  // guard, obfs4 through its bridge.
+  TransportFactory factory(scenario);
+  PtStack tor = factory.create_vanilla();
+  tor::PathConstraints guard;
+  guard.entry = shared_bridge;
+  tor.socks->set_constraints(guard);
+  PtStack o4 = factory.attach(obfs4);
 
   sim::EventLoop& loop = scenario.loop();
   stats::Table per_site({"site", "tor_s", "obfs4_s"});
@@ -54,20 +44,20 @@ int run(const BenchArgs& args) {
   for (const workload::Website& site : scenario.tranco().sites()) {
     // Fresh circuit per site for both stacks (middle/exit re-picked);
     // pre-built as Tor does, so fetches measure stream time only.
-    tor_pool->new_identity();
-    o4_pool->new_identity();
-    tor_pool->warm(loop);
-    o4_pool->warm(loop);
+    tor.socks->new_identity();
+    o4.socks->new_identity();
+    tor.socks->warm();
+    o4.socks->warm();
     double t_tor = -1, t_o4 = -1;
     bool done = false;
-    tor_fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
+    tor.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
                        [&](workload::FetchResult r) {
                          if (r.success) t_tor = r.elapsed();
                          done = true;
                        });
     loop.run_until_done([&] { return done; });
     done = false;
-    o4_fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
+    o4.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
                       [&](workload::FetchResult r) {
                         if (r.success) t_o4 = r.elapsed();
                         done = true;

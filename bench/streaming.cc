@@ -38,8 +38,8 @@ int run(const BenchArgs& args) {
     double startup_sum = 0, stall_sum = 0, goodput_sum = 0;
     int startup_n = 0;
     for (int i = 0; i < reps; ++i) {
-      stack.new_identity();
-      if (stack.rotate_guard) stack.rotate_guard();
+      stack.socks->new_identity();
+      stack.tor->path_selector().reset_guard();
       workload::StreamingResult result;
       bool done = false;
       workload::StreamingClient sc(scenario.loop(), stack.dialer);

@@ -3,7 +3,8 @@
 // point is the integration surface:
 //   1. implement pt::Transport (a server that deobfuscates and splices
 //      upstream, a connector that produces the obfuscated channel);
-//   2. hand the connector to a TorClient;
+//   2. TransportFactory::attach hands the connector to a Tor client and
+//      wraps it in the same SOCKS server and fetcher every PT gets;
 //   3. measure it with the standard campaign machinery.
 //
 //   $ ./examples/custom_transport
@@ -125,39 +126,31 @@ int main() {
   config.tranco_sites = 5;
   Scenario scenario(config);
 
-  // Wire the custom transport exactly like the built-in set-1 PTs.
+  // A set-1 transport, like obfs4: its server shares the bridge's host.
   tor::RelayIndex bridge = scenario.add_bridge(net::Region::kFrankfurt);
   auto transport = std::make_shared<Rot13Transport>(
       scenario.network(), scenario.consensus(), scenario.client_host(),
       bridge);
 
-  auto client = scenario.make_tor_client(scenario.client_host());
-  client->set_first_hop_connector(transport->connector());
-  tor::PathConstraints constraints;
-  constraints.entry = bridge;
-  auto pool = std::make_shared<CircuitPool>(client, constraints);
-  auto socks = std::make_shared<tor::TorSocksServer>(client, "socks-rot13");
-  socks->set_circuit_provider(pool->provider());
-  socks->start();
-  auto fetcher =
-      scenario.make_loopback_fetcher(scenario.client_host(), "socks-rot13");
+  // The factory wires it into the client stack every built-in PT gets.
+  PtStack stack = TransportFactory(scenario).attach(transport);
 
   std::printf("fetching 5 sites through the custom rot13 transport...\n");
   int ok = 0, done = 0;
   for (const workload::Website& site : scenario.tranco().sites()) {
-    fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                   [&](workload::FetchResult r) {
-                     ++done;
-                     if (r.success) {
-                       ++ok;
-                       std::printf("  %-16s %.2fs\n", r.target.c_str(),
-                                   r.elapsed());
-                     }
-                   });
+    stack.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
+                         [&](workload::FetchResult r) {
+                           ++done;
+                           if (r.success) {
+                             ++ok;
+                             std::printf("  %-16s %.2fs\n", r.target.c_str(),
+                                         r.elapsed());
+                           }
+                         });
     scenario.loop().run_until_done(
         [&, want = done + 1] { return done >= want; });
   }
   std::printf("%d/%d pages fetched through a transport written in ~100 "
               "lines\n", ok, done);
-  return ok == done ? 0 : 1;
+  return ok == static_cast<int>(scenario.tranco().sites().size()) ? 0 : 1;
 }

@@ -83,11 +83,10 @@ std::vector<Sample> run_attempts(sim::EventLoop& loop, sim::Duration think_gap,
 }
 
 /// Circuit hygiene before an access: a re-sampled guard when the options
-/// ask for one, and a fresh circuit when `new_identity` is set.
-void fresh_circuit(const CampaignOptions& opts, PtStack& stack,
-                   bool new_identity) {
-  if (opts.rotate_guard_per_site && stack.rotate_guard) stack.rotate_guard();
-  if (new_identity) stack.new_identity();
+/// ask for one, and a fresh circuit.
+void fresh_circuit(const CampaignOptions& opts, PtStack& stack) {
+  if (opts.rotate_guard_per_site) stack.tor->path_selector().reset_guard();
+  stack.socks->new_identity();
 }
 
 }  // namespace
@@ -115,7 +114,7 @@ std::vector<WebsiteSample> Campaign::run_website_curl(
   return run_attempts<WebsiteSample>(
       scenario_->loop(), opts_.think_gap, sites.size(), opts_.website_reps,
       [&](std::size_t item, int rep, int, AttemptDone<WebsiteSample> done) {
-        if (rep == 0) fresh_circuit(opts_, stack, opts_.new_circuit_per_site);
+        if (rep == 0) fresh_circuit(opts_, stack);
         const workload::Website* site = sites[item];
         stack.fetcher->fetch(
             site->hostname, "/", opts_.website_timeout,
@@ -136,7 +135,7 @@ std::vector<PageSample> Campaign::run_website_selenium(
   return run_attempts<PageSample>(
       scenario_->loop(), opts_.think_gap, sites.size(), opts_.website_reps,
       [&](std::size_t item, int rep, int, AttemptDone<PageSample> done) {
-        if (rep == 0) fresh_circuit(opts_, stack, opts_.new_circuit_per_site);
+        if (rep == 0) fresh_circuit(opts_, stack);
         const workload::Website* site = sites[item];
         stack.fetcher->fetch_page(
             *site, [&, site, rep, done](workload::PageLoadResult r) {
@@ -171,7 +170,7 @@ std::vector<ReliabilitySample> Campaign::run_reliability(
         // Every attempt — first try or retry — runs over a fresh circuit:
         // bulk transfers regularly outlive tunnels, and the paper retried
         // from scratch.
-        fresh_circuit(opts_, stack, true);
+        fresh_circuit(opts_, stack);
         std::size_t size = sizes[item];
         std::string target = "/";
         target += workload::file_target_name(size);
@@ -179,10 +178,8 @@ std::vector<ReliabilitySample> Campaign::run_reliability(
             "files.example", target, opts_.file_timeout,
             [&, size, rep, attempt, done](workload::FetchResult r) {
               DownloadOutcome outcome = classify(r);
-              bool retryable = outcome == DownloadOutcome::kFailed ||
-                               (retry.retry_on_partial &&
-                                outcome == DownloadOutcome::kPartial);
-              if (retryable && attempt <= retry.max_retries) {
+              if (outcome == DownloadOutcome::kFailed &&
+                  attempt <= retry.max_retries) {
                 done({std::nullopt, retry.backoff});
                 return;
               }

@@ -52,9 +52,6 @@ std::string_view outcome_name(DownloadOutcome o);
 struct RetryPolicy {
   /// Extra attempts after the first (0 = classify the first attempt).
   int max_retries = 0;
-  /// Also retry attempts that delivered some bytes (kPartial), not just
-  /// total failures.
-  bool retry_on_partial = false;
   sim::Duration backoff = sim::from_seconds(2);
 };
 
@@ -107,11 +104,10 @@ struct CampaignOptions {
   sim::Duration website_timeout = sim::from_seconds(120);
   sim::Duration file_timeout = sim::from_seconds(1200);
   sim::Duration think_gap = sim::from_seconds(1);
-  /// Fresh circuit per website (the paper's per-site circuits).
-  bool new_circuit_per_site = true;
   /// Re-sample the guard per site: the paper's measurements span a year
   /// of natural guard rotation, so per-site rotation recovers the
-  /// population-average first hop for non-bridge transports.
+  /// population-average first hop for non-bridge transports (a stack
+  /// whose entry is pinned never reads its guard).
   bool rotate_guard_per_site = true;
 };
 
@@ -136,8 +132,8 @@ class Campaign {
 
   /// Bulk downloads of the given sizes x reps, each attempt over a fresh
   /// circuit and classified into the §4.6 taxonomy under a retry policy:
-  /// a failed (and optionally partial) attempt is redone after the
-  /// backoff, up to max_retries times; the final attempt is the sample.
+  /// a failed attempt is redone after the backoff, up to max_retries
+  /// times; the final attempt is the sample.
   std::vector<ReliabilitySample> run_reliability(
       PtStack& stack, const std::vector<std::size_t>& sizes,
       RetryPolicy retry = {});

@@ -143,16 +143,16 @@ std::vector<OverheadSample> measure_overhead(
                             : std::optional<tor::RelayIndex>(p.entry);
     constraints.middle = p.middle;
     constraints.exit = p.exit;
-    tor.pool->set_constraints(constraints);
-    if (stack.pool) stack.pool->set_constraints(constraints);
+    tor.socks->set_constraints(constraints);
+    stack.socks->set_constraints(constraints);
 
     // Snapshot before the PT warms so the delta covers the site's full PT
     // share: transport connect, circuit build, and fetch.
     pt::layer::StackAccounting before;
     if (acct) before = *acct;
 
-    tor.pool->warm(loop);
-    if (stack.pool) stack.pool->warm(loop);
+    tor.socks->warm();
+    stack.socks->warm();
 
     OverheadSample s;
     s.pt = stack.name();

@@ -168,10 +168,4 @@ workload::Fetcher::SocksDialer Scenario::make_loopback_dialer(
   };
 }
 
-std::shared_ptr<workload::Fetcher> Scenario::make_loopback_fetcher(
-    net::HostId host, const std::string& socks_service) {
-  return std::make_shared<workload::Fetcher>(
-      loop_, make_loopback_dialer(host, socks_service));
-}
-
 }  // namespace ptperf

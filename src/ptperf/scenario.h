@@ -93,8 +93,6 @@ class Scenario {
   /// Client stack pieces on an arbitrary host; TransportFactory assembles
   /// them into vanilla and PT stacks.
   std::shared_ptr<tor::TorClient> make_tor_client(net::HostId host);
-  std::shared_ptr<workload::Fetcher> make_loopback_fetcher(
-      net::HostId host, const std::string& socks_service);
   workload::Fetcher::SocksDialer make_loopback_dialer(
       net::HostId host, const std::string& socks_service);
 

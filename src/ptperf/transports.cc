@@ -51,102 +51,33 @@ std::string_view pt_id_name(PtId id) {
   return TransportFactory::registration(id).name;
 }
 
-// ------------------------------------------------------------ CircuitPool
-
-CircuitPool::CircuitPool(std::shared_ptr<tor::TorClient> client,
-                         tor::PathConstraints constraints)
-    : client_(std::move(client)), constraints_(constraints) {}
-
-void CircuitPool::get(
-    std::function<void(std::optional<tor::TorCircuit>, std::string)> cb) {
-  if (current_ && current_->alive()) {
-    cb(*current_, "");
-    return;
-  }
-  auto self = shared_from_this();
-  client_->build_circuit(
-      constraints_,
-      [self, cb](std::optional<tor::TorCircuit> circuit, std::string err) {
-        if (circuit) self->current_ = *circuit;
-        cb(std::move(circuit), std::move(err));
-      });
-}
-
-tor::TorSocksServer::CircuitProvider CircuitPool::provider() {
-  auto self = shared_from_this();
-  return [self](std::function<void(std::optional<tor::TorCircuit>,
-                                   std::string)> cb) { self->get(std::move(cb)); };
-}
-
-void CircuitPool::warm(sim::EventLoop& loop) {
-  bool done = false;
-  get([&done](std::optional<tor::TorCircuit>, std::string) { done = true; });
-  loop.run_until_done([&] { return done; });
-}
-
-void CircuitPool::new_identity() {
-  if (current_) current_->close();
-  current_.reset();
-}
-
-void CircuitPool::set_constraints(tor::PathConstraints constraints) {
-  constraints_ = constraints;
-  new_identity();
-}
-
 // ------------------------------------------------------- TransportFactory
 
 TransportFactory::TransportFactory(Scenario& scenario,
                                    TransportFactoryOptions opts)
     : scenario_(&scenario), opts_(opts) {}
 
-PtStack TransportFactory::create_vanilla() {
+PtStack TransportFactory::create_vanilla() { return attach(nullptr); }
+
+PtStack TransportFactory::attach(std::shared_ptr<pt::Transport> transport) {
   PtStack stack;
   stack.tor = scenario_->make_tor_client(scenario_->client_host());
-  auto pool = std::make_shared<CircuitPool>(stack.tor, tor::PathConstraints{});
   std::string service = "socks-tor";
-  stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, service);
-  stack.socks->set_circuit_provider(pool->provider());
-  stack.socks->start();
-  stack.pool = pool;
-  stack.fetcher =
-      scenario_->make_loopback_fetcher(scenario_->client_host(), service);
-  stack.dialer = scenario_->make_loopback_dialer(scenario_->client_host(), service);
-  stack.new_identity = [pool] { pool->new_identity(); };
-  auto tor_client = stack.tor;
-  stack.rotate_guard = [tor_client] {
-    tor_client->path_selector().reset_guard();
-  };
-  return stack;
-}
-
-PtStack TransportFactory::wrap_first_hop_transport(
-    std::shared_ptr<pt::Transport> transport) {
-  PtStack stack;
-  stack.info = transport->info();
-  stack.transport = transport;
-  stack.tor = scenario_->make_tor_client(scenario_->client_host());
-  stack.tor->set_first_hop_connector(transport->connector());
-
   tor::PathConstraints constraints;
-  constraints.entry = transport->fixed_entry();
-  auto pool = std::make_shared<CircuitPool>(stack.tor, constraints);
-  stack.pool = pool;
-
-  std::string service = "socks-" + transport->info().name;
-  stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, service);
-  stack.socks->set_circuit_provider(pool->provider());
-  stack.socks->start();
-  stack.fetcher =
-      scenario_->make_loopback_fetcher(scenario_->client_host(), service);
-  stack.dialer = scenario_->make_loopback_dialer(scenario_->client_host(), service);
-  stack.new_identity = [pool] { pool->new_identity(); };
-  if (!transport->fixed_entry()) {
-    auto tor_client = stack.tor;
-    stack.rotate_guard = [tor_client] {
-      tor_client->path_selector().reset_guard();
-    };
+  if (transport) {
+    stack.info = transport->info();
+    stack.transport = transport;
+    stack.tor->set_first_hop_connector(transport->connector());
+    constraints.entry = transport->fixed_entry();
+    service = "socks-" + transport->info().name;
   }
+  stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, service);
+  stack.socks->set_constraints(constraints);
+  stack.socks->start();
+  stack.dialer =
+      scenario_->make_loopback_dialer(scenario_->client_host(), service);
+  stack.fetcher =
+      std::make_shared<workload::Fetcher>(scenario_->loop(), stack.dialer);
   return stack;
 }
 
@@ -158,26 +89,16 @@ PtStack TransportFactory::wrap_socks_tunnel_transport(
   stack.transport = transport;
   // Set 3: the standard Tor client utility runs on the PT server host.
   stack.tor = scenario_->make_tor_client(server_host);
-  auto pool = std::make_shared<CircuitPool>(stack.tor, tor::PathConstraints{});
-  stack.pool = pool;
   stack.socks = std::make_shared<tor::TorSocksServer>(stack.tor, socks_service);
-  stack.socks->set_circuit_provider(pool->provider());
   stack.socks->start();
 
   // The fetcher dials SOCKS *through* the tunnel.
-  auto t = transport;
-  auto dialer = [t](std::function<void(net::ChannelPtr)> ok,
-                    std::function<void(std::string)> err) {
-    t->open_socks_tunnel(std::move(ok), std::move(err));
+  stack.dialer = [transport](std::function<void(net::ChannelPtr)> ok,
+                             std::function<void(std::string)> err) {
+    transport->open_socks_tunnel(std::move(ok), std::move(err));
   };
-  stack.dialer = dialer;
   stack.fetcher =
-      std::make_shared<workload::Fetcher>(scenario_->loop(), dialer);
-  stack.new_identity = [pool] { pool->new_identity(); };
-  auto tor_client = stack.tor;
-  stack.rotate_guard = [tor_client] {
-    tor_client->path_selector().reset_guard();
-  };
+      std::make_shared<workload::Fetcher>(scenario_->loop(), stack.dialer);
   return stack;
 }
 
@@ -202,7 +123,7 @@ PtStack TransportFactory::build_obfs4(const std::string& tag) {
   cfg.bridge = bridge;
   auto t = std::make_shared<pt::Obfs4Transport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_webtunnel(const std::string& tag) {
@@ -213,7 +134,7 @@ PtStack TransportFactory::build_webtunnel(const std::string& tag) {
   cfg.bridge = bridge;
   auto t = std::make_shared<pt::WebTunnelTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_conjure(const std::string& tag) {
@@ -226,7 +147,7 @@ PtStack TransportFactory::build_conjure(const std::string& tag) {
   cfg.bridge = bridge;
   auto t = std::make_shared<pt::ConjureTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_meek(const std::string& tag) {
@@ -241,7 +162,7 @@ PtStack TransportFactory::build_meek(const std::string& tag) {
       sc.add_infra_host(tag + "-front", net::Region::kEuropeWest, 2000, 0.10);
   auto t = std::make_shared<pt::MeekTransport>(sc.network(), sc.consensus(),
                                                sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_dnstt(const std::string& tag) {
@@ -254,7 +175,7 @@ PtStack TransportFactory::build_dnstt(const std::string& tag) {
       sc.add_infra_host(tag + "-resolver", net::Region::kUsEast, 1000, 0.15);
   auto t = std::make_shared<pt::DnsttTransport>(sc.network(), sc.consensus(),
                                                 sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_snowflake(const std::string& tag) {
@@ -284,7 +205,7 @@ PtStack TransportFactory::build_snowflake(const std::string& tag) {
   }
   auto t = std::make_shared<pt::SnowflakeTransport>(
       net, sc.consensus(), sc.fork_rng(tag), cfg);
-  PtStack stack = wrap_first_hop_transport(t);
+  PtStack stack = attach(t);
   stack.snowflake = t.get();
   return stack;
 }
@@ -296,7 +217,7 @@ PtStack TransportFactory::build_psiphon(const std::string& tag) {
   cfg.server_host = sc.add_infra_host(tag + "-server", opts_.pt_server_region);
   auto t = std::make_shared<pt::PsiphonTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_shadowsocks(const std::string& tag) {
@@ -306,7 +227,7 @@ PtStack TransportFactory::build_shadowsocks(const std::string& tag) {
   cfg.server_host = sc.add_infra_host(tag + "-server", opts_.pt_server_region);
   auto t = std::make_shared<pt::ShadowsocksTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_camoufler(const std::string& tag) {
@@ -318,7 +239,7 @@ PtStack TransportFactory::build_camoufler(const std::string& tag) {
   cfg.peer_host = sc.add_infra_host(tag + "-peer", opts_.pt_server_region);
   auto t = std::make_shared<pt::CamouflerTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_stegotorus(const std::string& tag) {
@@ -328,7 +249,7 @@ PtStack TransportFactory::build_stegotorus(const std::string& tag) {
   cfg.server_host = sc.add_infra_host(tag + "-server", opts_.pt_server_region);
   auto t = std::make_shared<pt::StegotorusTransport>(
       sc.network(), sc.consensus(), sc.fork_rng(tag), cfg);
-  return wrap_first_hop_transport(t);
+  return attach(t);
 }
 
 PtStack TransportFactory::build_cloak(const std::string& tag) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,45 +36,18 @@ enum class PtId {
 std::vector<PtId> all_pt_ids();
 std::string_view pt_id_name(PtId id);
 
-/// Keeps one live circuit per client, rebuilding on death; experiments
-/// call new_identity() to force a fresh circuit (the paper accessed each
-/// website over a new circuit).
-class CircuitPool : public std::enable_shared_from_this<CircuitPool> {
- public:
-  CircuitPool(std::shared_ptr<tor::TorClient> client,
-              tor::PathConstraints constraints);
-
-  tor::TorSocksServer::CircuitProvider provider();
-  void new_identity();
-  /// Builds the circuit now (blocking in virtual time) so subsequent
-  /// fetches measure stream time only — Tor keeps circuits pre-built.
-  void warm(sim::EventLoop& loop);
-  void set_constraints(tor::PathConstraints constraints);
-  const std::optional<tor::TorCircuit>& current() const { return current_; }
-
- private:
-  void get(std::function<void(std::optional<tor::TorCircuit>, std::string)> cb);
-
-  std::shared_ptr<tor::TorClient> client_;
-  tor::PathConstraints constraints_;
-  std::optional<tor::TorCircuit> current_;
-};
-
 /// A measurement-ready client: vanilla Tor when `transport` is null.
 struct PtStack {
   std::optional<pt::TransportInfo> info;  // nullopt => vanilla Tor
   std::shared_ptr<pt::Transport> transport;
   std::shared_ptr<tor::TorClient> tor;
+  /// The Tor client's SOCKS listener, which keeps the stack's circuit:
+  /// new_identity() retires it, set_constraints() pins its hops, warm()
+  /// pre-builds it.
   std::shared_ptr<tor::TorSocksServer> socks;
-  std::shared_ptr<CircuitPool> pool;  // null for set-3 transports
   std::shared_ptr<workload::Fetcher> fetcher;
   /// Raw SOCKS dialer behind the fetcher (streaming / custom clients).
   workload::Fetcher::SocksDialer dialer;
-  /// Retire the current circuit (next fetch builds a fresh one).
-  std::function<void()> new_identity;
-  /// Re-sample the persisted guard (campaigns spanning months see many
-  /// guards; per-site rotation reproduces the population average).
-  std::function<void()> rotate_guard;
   /// Non-null for snowflake: load-regime control (§5.3).
   pt::SnowflakeTransport* snowflake = nullptr;
 
@@ -101,8 +73,16 @@ class TransportFactory {
   /// (hosts, bridges); create each PT once per scenario.
   PtStack create(PtId id);
 
-  /// Vanilla Tor stack for baselines.
+  /// Vanilla Tor stack for baselines: attach(nullptr).
   PtStack create_vanilla();
+
+  /// The client stack of a transport that dials the first hop (hop sets
+  /// 1 and 2; a set-3 transport's connector() throws): a Tor client on
+  /// the client host that dials through the transport and enters at its
+  /// fixed_entry(), behind the SOCKS service "socks-<name>", which fault
+  /// rules match on. create() ends here, and so does a transport
+  /// configured by hand. A null transport gives vanilla Tor ("socks-tor").
+  PtStack attach(std::shared_ptr<pt::Transport> transport);
 
  private:
   /// One registry row: canonical name plus the builder that stands up the
@@ -133,7 +113,6 @@ class TransportFactory {
   PtStack build_marionette(const std::string& tag);
   PtStack build_shadowsocks(const std::string& tag);
 
-  PtStack wrap_first_hop_transport(std::shared_ptr<pt::Transport> transport);
   PtStack wrap_socks_tunnel_transport(
       std::shared_ptr<pt::Transport> transport, net::HostId server_host,
       const std::string& socks_service);

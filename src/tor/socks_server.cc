@@ -8,8 +8,9 @@ TorSocksServer::TorSocksServer(std::shared_ptr<TorClient> client,
                                std::string service)
     : client_(std::move(client)), service_(std::move(service)) {}
 
-void TorSocksServer::set_circuit_provider(CircuitProvider fn) {
-  provider_ = std::move(fn);
+void TorSocksServer::set_constraints(PathConstraints constraints) {
+  constraints_ = constraints;
+  new_identity();
 }
 
 void TorSocksServer::new_identity() {
@@ -17,18 +18,26 @@ void TorSocksServer::new_identity() {
   current_.reset();
 }
 
-void TorSocksServer::default_provider(
+void TorSocksServer::warm() {
+  bool done = false;
+  with_circuit(
+      [&done](std::optional<TorCircuit>, std::string) { done = true; });
+  client_->network().loop().run_until_done([&] { return done; });
+}
+
+void TorSocksServer::with_circuit(
     std::function<void(std::optional<TorCircuit>, std::string)> cb) {
   if (current_ && current_->alive()) {
     cb(*current_, "");
     return;
   }
   auto self = shared_from_this();
-  client_->build_circuit({}, [self, cb](std::optional<TorCircuit> circuit,
-                                        std::string err) {
-    if (circuit) self->current_ = *circuit;
-    cb(std::move(circuit), std::move(err));
-  });
+  client_->build_circuit(
+      constraints_,
+      [self, cb](std::optional<TorCircuit> circuit, std::string err) {
+        if (circuit) self->current_ = *circuit;
+        cb(std::move(circuit), std::move(err));
+      });
 }
 
 void TorSocksServer::start() {
@@ -57,8 +66,8 @@ void TorSocksServer::serve_channel(net::ChannelPtr ch) {
       }
       std::string target = req->host + ":" + std::to_string(req->port);
 
-      auto with_circuit = [self, ch, target](std::optional<TorCircuit> circuit,
-                                             std::string err) {
+      auto on_circuit = [self, ch, target](std::optional<TorCircuit> circuit,
+                                           std::string err) {
         if (!circuit) {
           net::socks::ConnectReply rep;
           rep.reply = net::socks::Reply::kGeneralFailure;
@@ -85,11 +94,7 @@ void TorSocksServer::serve_channel(net::ChannelPtr ch) {
             });
       };
 
-      if (self->provider_) {
-        self->provider_(with_circuit);
-      } else {
-        self->default_provider(with_circuit);
-      }
+      self->with_circuit(on_circuit);
     });
   });
 }

@@ -1,8 +1,8 @@
 // The Tor client's local SOCKS5 listener — what curl/selenium point at in
 // the paper's setup. Speaks real SOCKS5 framing, attaches each CONNECT to
-// a circuit from the configured provider, then splices bytes between the
-// app connection and the Tor stream. serve_channel() lets set-3 PTs run
-// the same dialogue through their tunnel.
+// the server's one live circuit (built on demand, rebuilt on death), then
+// splices bytes between the app connection and the Tor stream.
+// serve_channel() lets set-3 PTs run the same dialogue through their tunnel.
 #pragma once
 
 #include <functional>
@@ -17,16 +17,8 @@ namespace ptperf::tor {
 
 class TorSocksServer : public std::enable_shared_from_this<TorSocksServer> {
  public:
-  using CircuitProvider = std::function<void(
-      std::function<void(std::optional<TorCircuit>, std::string)>)>;
-
   TorSocksServer(std::shared_ptr<TorClient> client,
                  std::string service = "socks");
-
-  /// Controls which circuit CONNECTs ride on. The default provider keeps
-  /// one circuit alive and rebuilds on death; experiments override this
-  /// to force fresh circuits per site or pinned paths.
-  void set_circuit_provider(CircuitProvider fn);
 
   /// Listens on the client host for app connections.
   void start();
@@ -34,16 +26,28 @@ class TorSocksServer : public std::enable_shared_from_this<TorSocksServer> {
   /// Runs the SOCKS dialogue over an externally provided channel.
   void serve_channel(net::ChannelPtr ch);
 
-  /// Invalidate the cached circuit (default provider only).
+  /// Pins the hops of every circuit built from now on (a bridge entry, or
+  /// a whole fixed circuit) and retires the current one.
+  void set_constraints(PathConstraints constraints);
+
+  /// Retires the current circuit, so the next CONNECT builds a fresh one
+  /// (the paper accessed each website over a new circuit).
   void new_identity();
 
+  /// Builds the circuit now (blocking in virtual time) so subsequent
+  /// fetches measure stream time only — Tor keeps circuits pre-built.
+  void warm();
+
+  /// The circuit CONNECTs ride on; empty until one has been built.
+  const std::optional<TorCircuit>& current() const { return current_; }
+
  private:
-  void default_provider(
+  void with_circuit(
       std::function<void(std::optional<TorCircuit>, std::string)> cb);
 
   std::shared_ptr<TorClient> client_;
   std::string service_;
-  CircuitProvider provider_;
+  PathConstraints constraints_;
   std::optional<TorCircuit> current_;
 };
 

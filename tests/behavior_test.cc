@@ -16,7 +16,7 @@ workload::FetchResult download_file(Scenario& scenario, PtStack& stack,
                                     sim::Duration timeout = kShortTimeout) {
   workload::FetchResult result;
   bool done = false;
-  stack.new_identity();
+  stack.socks->new_identity();
   // Appended, not "/" + name: GCC 12 -O3 reports a false -Wrestrict on
   // operator+(const char*, std::string&&).
   std::string target = "/";
@@ -44,7 +44,7 @@ TEST(MeekBehavior, BulkDownloadsMostlyPartialWebsitesFine) {
   for (int i = 0; i < 3; ++i) {
     const auto& site = scenario.tranco().sites()[i];
     bool done = false;
-    meek.new_identity();
+    meek.socks->new_identity();
     meek.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
                         [&](workload::FetchResult r) {
                           if (r.success) ++web_ok;
@@ -181,7 +181,7 @@ TEST(GuardLoadEffect, BridgePtBeatsTorThroughLoadedGuard) {
   ASSERT_GT(max_load, 0.5);
   tor::PathConstraints pinned;
   pinned.entry = loaded_guard;
-  tor.pool->set_constraints(pinned);
+  tor.socks->set_constraints(pinned);
 
   CampaignOptions copts;
   copts.website_reps = 2;

@@ -210,24 +210,25 @@ TEST_F(FlowFixture, SocksServerRejectsUnknownHost) {
   EXPECT_TRUE(got_failure);
 }
 
+// The SOCKS server keeps one circuit: reused while alive, rebuilt on death.
 TEST_F(FlowFixture, CircuitPoolReusesAndRebuilds) {
   auto client = scenario->make_tor_client(scenario->client_host());
-  auto pool = std::make_shared<CircuitPool>(client, tor::PathConstraints{});
+  auto socks = std::make_shared<tor::TorSocksServer>(client);
 
-  pool->warm(scenario->loop());
-  ASSERT_TRUE(pool->current());
-  auto first = pool->current()->impl();
+  socks->warm();
+  ASSERT_TRUE(socks->current());
+  auto first = socks->current()->impl();
 
   // Reuse: warming again keeps the same circuit.
-  pool->warm(scenario->loop());
-  EXPECT_EQ(pool->current()->impl(), first);
+  socks->warm();
+  EXPECT_EQ(socks->current()->impl(), first);
 
   // Death: killing it forces a rebuild on next warm.
-  pool->current()->close();
-  pool->warm(scenario->loop());
-  ASSERT_TRUE(pool->current());
-  EXPECT_NE(pool->current()->impl(), first);
-  EXPECT_TRUE(pool->current()->alive());
+  socks->current()->close();
+  socks->warm();
+  ASSERT_TRUE(socks->current());
+  EXPECT_NE(socks->current()->impl(), first);
+  EXPECT_TRUE(socks->current()->alive());
 }
 
 TEST_F(FlowFixture, UploadTraffic) {

@@ -52,7 +52,7 @@ TEST_P(LayerAccounting, CountersSumToWireTotalAfterFetches) {
     if (successes >= 2 || attempts >= 6) return;
     ++attempts;
     idle = false;
-    stack.new_identity();
+    stack.socks->new_identity();
     const workload::Website& site =
         scenario.tranco().sites()[attempts % 2];
     stack.fetcher->fetch(site.hostname, "/", sim::from_seconds(300),

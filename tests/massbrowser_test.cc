@@ -34,26 +34,6 @@ struct MassbrowserFixture : ::testing::Test {
     }
     return mb;
   }
-
-  PtStack wire(std::shared_ptr<pt::Transport> transport,
-               const std::string& tag) {
-    PtStack stack;
-    stack.info = transport->info();
-    stack.transport = transport;
-    stack.tor = scenario->make_tor_client(scenario->client_host());
-    stack.tor->set_first_hop_connector(transport->connector());
-    auto pool =
-        std::make_shared<CircuitPool>(stack.tor, tor::PathConstraints{});
-    stack.pool = pool;
-    stack.socks =
-        std::make_shared<tor::TorSocksServer>(stack.tor, "socks-" + tag);
-    stack.socks->set_circuit_provider(pool->provider());
-    stack.socks->start();
-    stack.fetcher = scenario->make_loopback_fetcher(scenario->client_host(),
-                                                    "socks-" + tag);
-    stack.new_identity = [pool] { pool->new_identity(); };
-    return stack;
-  }
 };
 
 TEST_F(MassbrowserFixture, WorksWithIssuedCode) {
@@ -62,7 +42,7 @@ TEST_F(MassbrowserFixture, WorksWithIssuedCode) {
   auto transport = std::make_shared<pt::MassbrowserTransport>(
       scenario->network(), scenario->consensus(), scenario->fork_rng("mb"),
       mb);
-  PtStack stack = wire(transport, "mb-ok");
+  PtStack stack = TransportFactory(*scenario).attach(transport);
 
   const auto& site = scenario->tranco().sites()[0];
   workload::FetchResult result;
@@ -83,7 +63,7 @@ TEST_F(MassbrowserFixture, RejectedWithoutInvite) {
   auto transport = std::make_shared<pt::MassbrowserTransport>(
       scenario->network(), scenario->consensus(), scenario->fork_rng("mb2"),
       mb);
-  PtStack stack = wire(transport, "mb-bad");
+  PtStack stack = TransportFactory(*scenario).attach(transport);
 
   const auto& site = scenario->tranco().sites()[1];
   workload::FetchResult result;

@@ -49,7 +49,7 @@ TEST_P(PtIntegration, SurvivesRepeatedFetchesWithNewCircuits) {
   int successes = 0;
   std::function<void(int)> next = [&](int i) {
     if (i >= 3) return;
-    stack.new_identity();
+    stack.socks->new_identity();
     const workload::Website& site = scenario.tranco().sites()[i];
     stack.fetcher->fetch(site.hostname, "/", sim::from_seconds(300),
                          [&, i](workload::FetchResult r) {

@@ -122,10 +122,15 @@ TEST(Factory, Set1TransportsPinTheirBridge) {
                     .at(*stack.transport->fixed_entry())
                     .has(tor::kFlagBridge))
         << stack.name();
-    // Set-1 stacks never rotate guards (their entry is the bridge).
-    EXPECT_FALSE(static_cast<bool>(stack.rotate_guard) &&
-                 stack.info->hop_set == pt::HopSet::kSet1BridgeIsGuard &&
-                 false);  // rotate_guard may exist but is a no-op for set 1
+    // Campaigns rotate the guard on every stack; a set-1 circuit still
+    // enters through the bridge.
+    stack.tor->path_selector().reset_guard();
+    stack.socks->new_identity();
+    stack.socks->warm();
+    ASSERT_TRUE(stack.socks->current()) << stack.name();
+    EXPECT_EQ(stack.socks->current()->path().entry,
+              *stack.transport->fixed_entry())
+        << stack.name();
   }
 }
 
